@@ -161,10 +161,10 @@ def validate_document(doc: dict) -> None:
 
 
 def dumps_annotation(record: AnnotationRecord) -> str:
-    return _dumps_document(record.to_document())
+    return dumps_document(record.to_document())
 
 
-def _dumps_document(doc: dict) -> str:
+def dumps_document(doc: dict) -> str:
     return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
 
 
@@ -213,10 +213,13 @@ def read_manifest(path) -> list[AnnotationRecord]:
     return records
 
 
+def dumps_manifest(records: list[AnnotationRecord]) -> str:
+    return dumps_document({"records": [r.to_document() for r in records]})
+
+
 def write_manifest(records: list[AnnotationRecord], path, line_delimited: bool = False) -> None:
     if line_delimited:
         lines = [json.dumps(r.to_document(), ensure_ascii=False) for r in records]
         Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     else:
-        doc = {"records": [r.to_document() for r in records]}
-        Path(path).write_text(json.dumps(doc, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
+        Path(path).write_text(dumps_manifest(records), encoding="utf-8")

@@ -16,11 +16,13 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
-from .annotation import AnnotationRecord, read_manifest, write_annotation, write_manifest
+from .annotation import (AnnotationRecord, dumps_manifest, read_manifest, write_annotation,
+                          write_manifest)
 from .config import STRATEGIES, PipelineConfig, resolve_config
 from .dsp.audio import read_wav, write_wav
 from .errors import InputError, ParseError, ValidationError
-from .lexicon import Lexicon, LyricToken, default_lexicon, g2p, segment_lyrics, _is_han
+from .lexicon import (ENGLISH, MANDARIN, Lexicon, LyricToken, default_lexicon, g2p,
+                      language_of, segment_lyrics)
 from .metrics import EvalReport, evaluate_pair, read_embedding, tokenize_transcript
 from .pseudo import choose_melody, load_melody_bank, make_pseudo_singing
 from .score import (
@@ -31,7 +33,7 @@ from .score import (
     extract_ratios,
     transform_score,
 )
-from .svc import build_job_manifest
+from .svc import build_job_manifest, dumps_job_manifest
 from .textgrid import read_textgrid
 
 log = logging.getLogger("singprep")
@@ -39,6 +41,8 @@ log = logging.getLogger("singprep")
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
+
+_LANGUAGES = {"cn": MANDARIN, "en": ENGLISH}  # score-event "lang" codes
 
 
 def derive_seed(seed: int, utt_id: str) -> int:
@@ -48,26 +52,40 @@ def derive_seed(seed: int, utt_id: str) -> int:
 
 
 def _build_lexicon(cfg: PipelineConfig) -> Lexicon:
-    if cfg.cmu_dict is None and cfg.pinyin_map is None and cfg.hanzi_table is None:
-        return default_lexicon()
-    base = default_lexicon()
-    lex = Lexicon()
-    if cfg.cmu_dict is not None:
-        with open(cfg.cmu_dict, encoding="utf-8") as fh:
-            lex.load_cmu_dict(fh)
-    else:
-        lex.english_entries.update(base.english_entries)
-    if cfg.pinyin_map is not None:
-        with open(cfg.pinyin_map, encoding="utf-8") as fh:
-            lex.load_pinyin_map(fh)
-    else:
-        lex.pinyin_entries.update(base.pinyin_entries)
-    if cfg.hanzi_table is not None:
-        with open(cfg.hanzi_table, encoding="utf-8") as fh:
-            lex.load_hanzi_table(fh)
-    else:
-        lex.hanzi_readings.update(base.hanzi_readings)
+    """The bundled lexicon, each table the config names replacing its own."""
+    lex = default_lexicon()
+    for path, table, load in (
+        (cfg.cmu_dict, lex.english_entries, lex.load_cmu_dict),
+        (cfg.pinyin_map, lex.pinyin_entries, lex.load_pinyin_map),
+        (cfg.hanzi_table, lex.hanzi_readings, lex.load_hanzi_table),
+    ):
+        if path is not None:
+            table.clear()
+            with open(path, encoding="utf-8") as fh:
+                load(fh)
     return lex
+
+
+def run_batch(worker, payloads, workers: int, stop=None) -> list:
+    """worker(payload) for each payload, in payload order: in this process for
+    one worker, else all submitted to a process pool at once. When stop(result)
+    is true or a worker raises, payloads not yet started are cancelled and the
+    results of every one that ran are returned (or the first error re-raised)."""
+    stop = stop or (lambda result: False)
+    results = []
+    if workers <= 1:
+        for payload in payloads:
+            results.append(worker(payload))
+            if stop(results[-1]):
+                break
+        return results
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(worker, payload) for payload in payloads]
+        for future in futures:
+            if future.exception() is not None or stop(future.result()):
+                pool.shutdown(cancel_futures=True)
+                break
+    return [future.result() for future in futures if not future.cancelled()]
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -131,11 +149,9 @@ def _score_events(path) -> list[ScoreEvent]:
             token = None
         else:
             lang = entry.get("lang")
-            if lang is None:
-                lang = "cn" if any(_is_han(ch) for ch in lyric) else "en"
-            if lang not in ("cn", "en"):
+            if lang not in (None, *_LANGUAGES):
                 raise InputError(f"{path}: event {i} has unknown lang {lang!r}")
-            token = LyricToken(lyric, 1 if lang == "cn" else 0)
+            token = LyricToken(lyric, language_of(lyric) if lang is None else _LANGUAGES[lang])
         events.append(ScoreEvent(token, int(entry["note"]), float(entry["dur"]), slur))
     return events
 
@@ -215,8 +231,7 @@ def cmd_adapt(args, cfg: PipelineConfig) -> int:
             )
         )
     if args.output is None or args.output == "-":
-        doc = {"records": [r.to_document() for r in adapted]}
-        sys.stdout.write(json.dumps(doc, ensure_ascii=False, indent=2) + "\n")
+        sys.stdout.write(dumps_manifest(adapted))
     else:
         write_manifest(adapted, args.output)
     return EXIT_OK
@@ -266,20 +281,8 @@ def cmd_pseudo(args, cfg: PipelineConfig) -> int:
     bank_path = args.melody_bank if args.melody_bank is not None else cfg.melody_bank
     load_melody_bank(bank_path)  # validate before fanning out
     payloads = [(e, bank_path, cfg.seed, str(out_dir), cfg.hop) for e in entries]
-
-    results: list[tuple[str, str, str]] = []
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            for res in pool.map(_pseudo_worker, payloads):
-                results.append(res)
-                if res[2] and not args.keep_going:
-                    break
-    else:
-        for payload in payloads:
-            res = _pseudo_worker(payload)
-            results.append(res)
-            if res[2] and not args.keep_going:
-                break
+    stop = None if args.keep_going else (lambda res: bool(res[2]))
+    results = run_batch(_pseudo_worker, payloads, cfg.workers, stop)
 
     summary: dict = {
         "seed": cfg.seed,
@@ -315,8 +318,7 @@ def cmd_plan_svc(args, cfg: PipelineConfig) -> int:
         [(e["singer"], e["voice_part"]) for e in tgt_entries],
     )
     log.info("%d sources x %d targets -> %d jobs", len(src_entries), len(tgt_entries), len(jobs))
-    doc = {"jobs": [j.to_document() for j in jobs]}
-    _write_text(json.dumps(doc, ensure_ascii=False, indent=2) + "\n", args.output)
+    _write_text(dumps_job_manifest(jobs), args.output)
     return EXIT_OK
 
 
@@ -348,14 +350,8 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
         )
     payloads = [(utt_id, refs[utt_id], hyps[utt_id]) for utt_id in sorted(refs)]
     report = EvalReport()
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            for utt_id, values in pool.map(_eval_worker, payloads):
-                report.add(utt_id, values)
-    else:
-        for payload in payloads:
-            utt_id, values = _eval_worker(payload)
-            report.add(utt_id, values)
+    for utt_id, values in run_batch(_eval_worker, payloads, cfg.workers):
+        report.add(utt_id, values)
     if args.output is not None and args.output != "-":
         Path(args.output).write_text(report.dumps(), encoding="utf-8")
         sys.stdout.write(report.table() if args.table else "")

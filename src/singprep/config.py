@@ -6,6 +6,7 @@ typo never silently falls back to a default.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import yaml
@@ -13,15 +14,13 @@ import yaml
 from .errors import InputError, ParseError
 
 STRATEGIES = ("average", "proportional")
+# Value types accepted per field annotation; a YAML boolean is never a number.
+_TYPES = {"float": (int, float), "int": int, "str": str, "str | None": (str, type(None))}
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    sample_rate: int = 24000
     hop: float = 0.005
-    f0_min: float = 65.0
-    f0_max: float = 1046.5
-    mcep_order: int = 13
     melody_bank: str | None = None
     cmu_dict: str | None = None
     pinyin_map: str | None = None
@@ -31,14 +30,14 @@ class PipelineConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("sample_rate", "hop", "f0_min", "f0_max", "mcep_order", "workers"):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _TYPES[f.type]):
+                raise InputError(f"config: {f.name} must be {f.type}, got {value!r}")
+        for name in ("hop", "workers"):
             value = getattr(self, name)
-            if value <= 0:
-                raise InputError(f"config: {name} must be positive, got {value}")
-        if self.f0_min >= self.f0_max:
-            raise InputError(
-                f"config: f0_min {self.f0_min} must be below f0_max {self.f0_max}"
-            )
+            if not 0 < value < math.inf:
+                raise InputError(f"config: {name} must be positive and finite, got {value}")
         if self.strategy not in STRATEGIES:
             raise InputError(
                 f"config: strategy must be one of {', '.join(STRATEGIES)}, got {self.strategy!r}"

@@ -61,6 +61,13 @@ def frame_count(n_samples: int, hop_samples: int) -> int:
     return 1 + (n_samples - 1) // hop_samples
 
 
+def centered_frames(x: np.ndarray, n: int, hop: int, width: int) -> np.ndarray:
+    """n reflect-padded windows, window i starting width//2 before sample i*hop."""
+    half = width // 2
+    padded = np.pad(x, (half, width - half), mode="reflect")
+    return sliding_window_view(padded, width)[::hop][:n]
+
+
 def extract_f0(
     waveform: Waveform,
     hop: float = DEFAULT_HOP,
@@ -90,8 +97,7 @@ def extract_f0(
     hop_samples = max(1, int(round(hop * sr)))
     n = frame_count(x.size, hop_samples)
 
-    padded = np.pad(x, (w, w), mode="reflect")
-    frames = sliding_window_view(padded, 2 * w)[::hop_samples][:n]
+    frames = centered_frames(x, n, hop_samples, 2 * w)
     half = frames[:, :w]
 
     # difference function d(tau) = sum_j (x_j - x_{j+tau})^2 for tau in 0..w,

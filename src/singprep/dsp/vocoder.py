@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace as dc_replace
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import irfft, rfft
 from scipy.signal.windows import hann
 
@@ -26,6 +25,7 @@ from .pitch import (
     DEFAULT_HOP,
     DEFAULT_THRESHOLD,
     F0Contour,
+    centered_frames,
     extract_f0,
     frame_count,
 )
@@ -75,12 +75,6 @@ class AnalysisResult:
         return len(self.f0)
 
 
-def _centered_frames(x: np.ndarray, n: int, hop: int, width: int) -> np.ndarray:
-    half = width // 2
-    padded = np.pad(x, (half, width - half), mode="reflect")
-    return sliding_window_view(padded, width)[::hop][:n]
-
-
 def analyze(
     waveform: Waveform,
     hop: float = DEFAULT_HOP,
@@ -107,7 +101,7 @@ def analyze(
 
     win = hann(fft_size, sym=False)
     wsum2 = float(np.sum(win * win))
-    frames = _centered_frames(waveform.samples, n, hop_samples, fft_size) * win
+    frames = centered_frames(waveform.samples, n, hop_samples, fft_size) * win
 
     # --- smoothed envelope ---
     spec = np.abs(rfft(frames, fft_size, axis=1)) ** 2 / wsum2
@@ -234,8 +228,8 @@ def synthesize(
     amp = np.sqrt(analysis.envelope)
     half = fft_size // 2
 
-    pulse_frames = _centered_frames(pulses, n, hop, fft_size) * win
-    noise_frames = _centered_frames(noise, n, hop, fft_size) * win
+    pulse_frames = centered_frames(pulses, n, hop, fft_size) * win
+    noise_frames = centered_frames(noise, n, hop, fft_size) * win
     spec_p = rfft(pulse_frames, fft_size, axis=1)
     spec_n = rfft(noise_frames, fft_size, axis=1)
 

@@ -56,6 +56,11 @@ def _is_han(ch: str) -> bool:
     )
 
 
+def language_of(text: str) -> int:
+    """MANDARIN if the text holds any Han character, else ENGLISH."""
+    return MANDARIN if any(_is_han(ch) for ch in text) else ENGLISH
+
+
 @dataclass(frozen=True)
 class LyricToken:
     """One lyric unit: a single Han character or one English word."""

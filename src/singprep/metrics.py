@@ -13,12 +13,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct, rfft
 from scipy.signal.windows import hann
 
 from .dsp.audio import Waveform, resample
-from .dsp.pitch import F0Contour, extract_f0, frame_count, nearest_midi
+from .dsp.pitch import F0Contour, centered_frames, extract_f0, frame_count, nearest_midi
 from .errors import InputError
 from .lexicon import _is_han
 
@@ -99,9 +98,7 @@ def mcep(waveform: Waveform, order: int = MCEP_ORDER) -> McepFrames:
             f"input of {len(waveform)} samples is shorter than one {win_samples}-sample window"
         )
     n = frame_count(len(waveform), hop_samples)
-    half = win_samples // 2
-    padded = np.pad(waveform.samples, (half, win_samples - half), mode="reflect")
-    frames = sliding_window_view(padded, win_samples)[::hop_samples][:n]
+    frames = centered_frames(waveform.samples, n, hop_samples, win_samples)
     win = hann(win_samples, sym=False)
     spec = np.abs(rfft(frames * win, win_samples, axis=1)) ** 2
     fb = _mel_filterbank(sr, win_samples, _N_MELS)

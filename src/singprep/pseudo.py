@@ -26,7 +26,7 @@ from .dsp.pitch import (
 from .dsp.vocoder import analyze, replace_f0, synthesize
 from .dsp.audio import Waveform
 from .errors import InputError, ParseError, ValidationError
-from .lexicon import CMU_PHONES, ENGLISH, MANDARIN, _is_han
+from .lexicon import CMU_PHONES, language_of
 from .score import PSEUDO_SINGING, SILENCE_LABELS, SPEECH, PhonemeEvent
 from .textgrid import AlignmentTier, Interval
 
@@ -154,10 +154,6 @@ def render_melody(template: MelodyTemplate, n_frames: int, hop: float = DEFAULT_
     return F0Contour(values, hop)
 
 
-def _word_language(label: str) -> int:
-    return MANDARIN if any(_is_han(ch) for ch in label) else ENGLISH
-
-
 def _normalize_phone(label: str) -> str:
     ph = label.strip().upper()
     if ph and ph[-1] in "012":
@@ -215,7 +211,7 @@ def annotate_speech(
                 note_midi=notes[id(word)],
                 note_dur=word.end - word.start,
                 is_slur=False,
-                language_token=_word_language(word.label),
+                language_token=language_of(word.label),
                 style_token=SPEECH,
             )
         )
@@ -266,7 +262,7 @@ def make_pseudo_singing(
                 note_midi=midi,
                 note_dur=(end - start) * hop,
                 is_slur=False,
-                language_token=_word_language(word.label),
+                language_token=language_of(word.label),
                 style_token=PSEUDO_SINGING,
             )
         )

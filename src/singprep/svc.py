@@ -8,11 +8,10 @@ verbatim rather than computed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .annotation import VOICE_PARTS, normalize_voice_part
+from .annotation import VOICE_PARTS, dumps_document, normalize_voice_part
 from .errors import InputError
 
 # rows: source part; columns: target part; both in VOICE_PARTS order
@@ -90,6 +89,9 @@ def build_job_manifest(
     return jobs
 
 
+def dumps_job_manifest(jobs: list[ConversionJob]) -> str:
+    return dumps_document({"jobs": [j.to_document() for j in jobs]})
+
+
 def write_job_manifest(jobs: list[ConversionJob], path) -> None:
-    doc = {"jobs": [j.to_document() for j in jobs]}
-    Path(path).write_text(json.dumps(doc, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(dumps_job_manifest(jobs), encoding="utf-8")

@@ -305,6 +305,25 @@ class TestPseudo:
         assert list(summary["utterances"]) == ["bad"]
         assert not (out_dir / "good.wav").exists()
 
+    def test_fail_fast_with_pool_reports_every_output(self, tmp_path):
+        wav, tg = write_clip_files(tmp_path, utt_id="good")
+        bad = tmp_path / "bad.wav"
+        bad.write_bytes(b"this is not audio")
+        utterances = [{"utt_id": "bad", "audio": str(bad), "textgrid": str(tg)}]
+        utterances += [{"utt_id": f"good{i}", "audio": str(wav), "textgrid": str(tg)}
+                       for i in range(9)]
+        manifest = write_json(tmp_path / "manifest.json", {"utterances": utterances})
+        out_dir = tmp_path / "out"
+        assert main(["pseudo", "--manifest", manifest, "--fail-fast", "--workers", "2",
+                     "--output-dir", str(out_dir)]) == 2
+        summary = json.loads((out_dir / "summary.json").read_text())["utterances"]
+        assert summary["bad"]["status"] == "error"
+        outputs = [p for p in out_dir.iterdir() if p.suffix in (".wav", ".json")
+                   and p.name != "summary.json"]
+        assert {p.stem for p in outputs} <= {u for u, e in summary.items() if e["status"] == "ok"}
+        rendered = [p for p in outputs if p.suffix == ".wav"]
+        assert len(rendered) < len(utterances) - 1
+
     def test_duplicate_utt_id_fails(self, tmp_path):
         wav, tg = write_clip_files(tmp_path, utt_id="clip")
         manifest = write_json(tmp_path / "manifest.json", {"utterances": [
@@ -438,6 +457,18 @@ class TestEval:
                      "--output", str(b)]) == 0
         assert a.read_text() == b.read_text()
 
+    def test_unreadable_pair_fails_with_pool(self, tmp_path):
+        wav, _ = write_clip_files(tmp_path, utt_id="clip")
+        bad = tmp_path / "bad.wav"
+        bad.write_bytes(b"this is not audio")
+        ref = write_json(tmp_path / "ref.json", {"utterances": [
+            {"utt_id": "a", "audio": str(wav)}, {"utt_id": "b", "audio": str(wav)},
+        ]})
+        hyp = write_json(tmp_path / "hyp.json", {"utterances": [
+            {"utt_id": "a", "audio": str(bad)}, {"utt_id": "b", "audio": str(wav)},
+        ]})
+        assert main(["eval", "--ref", ref, "--hyp", hyp, "--workers", "2"]) == 2
+
 
 class TestConfig:
     def test_file_seed_used(self, speech_manifest):
@@ -491,3 +522,19 @@ class TestConfig:
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("strategy: [\n")
         assert main(["adapt", "--config", str(cfg), "--input", manifest]) == 2
+
+    @pytest.mark.parametrize("line", ['workers: "4"', "seed: 1.5", 'hop: "x"', "workers: true",
+                                      "cmu_dict: 3", "hop: .nan", "hop: .inf"])
+    def test_wrong_typed_or_nonfinite_value_rejected(self, tmp_path, line):
+        manifest = cun_manifest(tmp_path / "in.json")
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(line + "\n")
+        assert main(["adapt", "--config", str(cfg), "--input", manifest]) == 2
+
+    @pytest.mark.parametrize("key", ["sample_rate", "f0_min", "f0_max", "mcep_order"])
+    def test_removed_key_rejected(self, tmp_path, caplog, key):
+        manifest = cun_manifest(tmp_path / "in.json")
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"{key}: 100\n")
+        assert main(["adapt", "--config", str(cfg), "--input", manifest]) == 2
+        assert "unknown config keys" in caplog.text

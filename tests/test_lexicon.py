@@ -15,7 +15,7 @@ from singprep import (
     segment_lyrics,
     split_pinyin,
 )
-from singprep.lexicon import Lexicon, token_phones
+from singprep.lexicon import Lexicon, language_of, token_phones
 
 PINYIN_GOLDENS = {
     "rang": ["R", "AE", "NG"],
@@ -123,6 +123,13 @@ class TestSegmentLyrics:
     def test_unsupported_character_named_in_error(self):
         with pytest.raises(ParseError, match="а"):
             segment_lyrics("абв")
+
+
+@pytest.mark.parametrize("text,language", [
+    ("我", MANDARIN), ("la我", MANDARIN), ("world", ENGLISH), ("", ENGLISH), ("ni3", ENGLISH),
+])
+def test_language_of(text, language):
+    assert language_of(text) == language
 
 
 class TestSplitPinyin:
