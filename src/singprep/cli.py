@@ -119,6 +119,19 @@ def _read_entries(path, list_key: str, required: tuple[str, ...]) -> list[dict]:
     return out
 
 
+def _by_utt_id(entries: list[dict], path) -> dict[str, dict]:
+    """Manifest entries keyed by utt_id, in order; ids must be unique strings."""
+    by_id: dict[str, dict] = {}
+    for entry in entries:
+        utt_id = entry["utt_id"]
+        if not isinstance(utt_id, str) or not utt_id:
+            raise InputError(f"{path}: utt_id must be a nonempty string, got {utt_id!r}")
+        if utt_id in by_id:
+            raise InputError(f"{path}: duplicate utt_id {utt_id!r}")
+        by_id[utt_id] = entry
+    return by_id
+
+
 # -- g2p ----------------------------------------------------------------------
 
 def cmd_g2p(args, cfg: PipelineConfig) -> int:
@@ -270,12 +283,10 @@ def _pseudo_worker(payload: tuple) -> tuple[str, str, str]:
 
 
 def cmd_pseudo(args, cfg: PipelineConfig) -> int:
-    entries = _read_entries(args.manifest, "utterances", ("utt_id", "audio", "textgrid"))
-    seen = set()
-    for entry in entries:
-        if entry["utt_id"] in seen:
-            raise InputError(f"duplicate utt_id {entry['utt_id']!r} in manifest")
-        seen.add(entry["utt_id"])
+    entries = _by_utt_id(
+        _read_entries(args.manifest, "utterances", ("utt_id", "audio", "textgrid")),
+        args.manifest,
+    ).values()
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     bank_path = args.melody_bank if args.melody_bank is not None else cfg.melody_bank
@@ -340,8 +351,8 @@ def _eval_worker(payload: tuple) -> tuple[str, dict]:
 
 
 def cmd_eval(args, cfg: PipelineConfig) -> int:
-    refs = {e["utt_id"]: e for e in _read_entries(args.ref, "utterances", ("utt_id", "audio"))}
-    hyps = {e["utt_id"]: e for e in _read_entries(args.hyp, "utterances", ("utt_id", "audio"))}
+    refs = _by_utt_id(_read_entries(args.ref, "utterances", ("utt_id", "audio")), args.ref)
+    hyps = _by_utt_id(_read_entries(args.hyp, "utterances", ("utt_id", "audio")), args.hyp)
     if set(refs) != set(hyps):
         only_ref = sorted(set(refs) - set(hyps))
         only_hyp = sorted(set(hyps) - set(refs))

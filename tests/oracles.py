@@ -1,8 +1,12 @@
-"""Independent brute-force reference implementations.
+"""Independent reference implementations.
 
-These deliberately avoid the dynamic-programming formulations used by the
-package so agreement is evidence, not tautology. They are exponential or
-memoized-recursive and only usable on tiny inputs.
+Brute-force oracles deliberately avoid the dynamic-programming formulations
+used by the package so agreement is evidence, not tautology. They are
+exponential or memoized-recursive and only usable on tiny inputs.
+
+Frozen oracles are verbatim copies of scalar package functions as they stood
+before those were vectorized. The vectorized code must agree with them
+exactly (identical outputs, ``==`` not approx), on any input size.
 """
 
 from __future__ import annotations
@@ -10,6 +14,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+
+from singprep.errors import InputError
 
 
 def wer_oracle(ref: list[str], hyp: list[str]) -> float | None:
@@ -60,3 +66,51 @@ def dtw_oracle_cost(a: np.ndarray, b: np.ndarray) -> float:
 
     walk(0, 0, 0.0)
     return best[0]
+
+
+def dtw_align_oracle(a, b) -> list[tuple[int, int]]:
+    """Frozen scalar DTW: row-by-row accumulation loop, then traceback."""
+    if len(a) == 0 or len(b) == 0:
+        raise InputError("cannot align empty frame sequences")
+    av, bv = a.frames, b.frames
+    d = np.sqrt(
+        np.maximum(
+            np.sum(av * av, axis=1)[:, None]
+            - 2.0 * (av @ bv.T)
+            + np.sum(bv * bv, axis=1)[None, :],
+            0.0,
+        )
+    )
+    n, m = d.shape
+    acc = np.empty((n, m))
+    acc[0] = np.cumsum(d[0])
+    for i in range(1, n):
+        acc[i, 0] = acc[i - 1, 0] + d[i, 0]
+        prev = acc[i - 1]
+        row = acc[i]
+        for j in range(1, m):
+            best = prev[j - 1]
+            if prev[j] < best:
+                best = prev[j]
+            if row[j - 1] < best:
+                best = row[j - 1]
+            row[j] = d[i, j] + best
+
+    path = [(n - 1, m - 1)]
+    i, j = n - 1, m - 1
+    while i or j:
+        if i and j:
+            diag, up, left = acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1]
+            if diag <= up and diag <= left:
+                i, j = i - 1, j - 1
+            elif up <= left:
+                i -= 1
+            else:
+                j -= 1
+        elif i:
+            i -= 1
+        else:
+            j -= 1
+        path.append((i, j))
+    path.reverse()
+    return path

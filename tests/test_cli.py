@@ -333,6 +333,14 @@ class TestPseudo:
         assert main(["pseudo", "--manifest", manifest,
                      "--output-dir", str(tmp_path / "out")]) == 2
 
+    def test_unhashable_utt_id_fails(self, tmp_path):
+        wav, tg = write_clip_files(tmp_path, utt_id="clip")
+        manifest = write_json(tmp_path / "manifest.json", {"utterances": [
+            {"utt_id": ["clip"], "audio": str(wav), "textgrid": str(tg)},
+        ]})
+        assert main(["pseudo", "--manifest", manifest,
+                     "--output-dir", str(tmp_path / "out")]) == 2
+
     def test_missing_manifest_fails(self, tmp_path):
         assert main(["pseudo", "--manifest", str(tmp_path / "nope.json"),
                      "--output-dir", str(tmp_path / "out")]) == 2
@@ -447,6 +455,25 @@ class TestEval:
             {"utt_id": "other", "audio": str(wav)},
         ]})
         assert main(["eval", "--ref", ref, "--hyp", hyp]) == 2
+
+    @pytest.mark.parametrize("side", ["ref", "hyp"])
+    def test_duplicate_utt_id_fails(self, tmp_path, side, caplog):
+        wav, _ = write_clip_files(tmp_path, utt_id="clip")
+        once = [{"utt_id": "clip", "audio": str(wav)}]
+        twice = once * 2
+        ref = write_json(tmp_path / "ref.json",
+                         {"utterances": twice if side == "ref" else once})
+        hyp = write_json(tmp_path / "hyp.json",
+                         {"utterances": twice if side == "hyp" else once})
+        assert main(["eval", "--ref", ref, "--hyp", hyp]) == 2
+        assert f"{side}.json: duplicate utt_id 'clip'" in caplog.text
+
+    @pytest.mark.parametrize("utt_id", [["clip"], 7, ""])
+    def test_non_string_utt_id_fails(self, tmp_path, utt_id):
+        wav, _ = write_clip_files(tmp_path, utt_id="clip")
+        ref = write_json(tmp_path / "ref.json",
+                         {"utterances": [{"utt_id": utt_id, "audio": str(wav)}]})
+        assert main(["eval", "--ref", ref, "--hyp", ref]) == 2
 
     def test_parallel_matches_serial(self, eval_pair_files, tmp_path):
         ref, hyp, _ = eval_pair_files

@@ -24,7 +24,7 @@ from singprep.metrics import MCEP_HOP, MCEP_RATE, McepFrames, read_embedding
 from singprep.dsp import F0Contour, Waveform, resample
 
 from helpers import SR, sine, speech_clip, voiced_segment
-from oracles import dtw_oracle_cost, wer_oracle
+from oracles import dtw_align_oracle, dtw_oracle_cost, wer_oracle
 
 
 def diag(n):
@@ -97,6 +97,66 @@ class TestDtwAlign:
         path = dtw_align(McepFrames(a, MCEP_HOP, 4), McepFrames(b, MCEP_HOP, 4))
         cost = sum(np.linalg.norm(a[i] - b[j]) for i, j in path)
         assert cost == pytest.approx(dtw_oracle_cost(a, b), rel=1e-9)
+
+
+def path_cost(a, b, path):
+    return sum(float(np.linalg.norm(a.frames[i] - b.frames[j])) for i, j in path)
+
+
+def assert_matches_oracle(a, b):
+    path = dtw_align(a, b)
+    expected = dtw_align_oracle(a, b)
+    assert path == expected
+    assert path_cost(a, b, path) == path_cost(a, b, expected)
+
+
+class TestDtwAlignMatchesFrozenOracle:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2), (2, 17),
+                                       (17, 2), (23, 31), (40, 12)])
+    def test_random_shapes(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        n, m = shape
+        assert_matches_oracle(McepFrames(rng.standard_normal((n, 5)), MCEP_HOP, 5),
+                              McepFrames(rng.standard_normal((m, 5)), MCEP_HOP, 5))
+
+    @pytest.mark.parametrize("trial", range(40))
+    def test_integer_frames_with_exact_ties(self, trial):
+        rng = np.random.default_rng(500 + trial)
+        n, m = rng.integers(1, 25, size=2)
+        a = rng.integers(-1, 2, size=(n, 2)).astype(float)
+        b = rng.integers(-1, 2, size=(m, 2)).astype(float)
+        assert_matches_oracle(McepFrames(a, MCEP_HOP, 2), McepFrames(b, MCEP_HOP, 2))
+
+    def test_mcep_frames_of_unequal_clips(self):
+        w, _, _ = speech_clip()
+        other = Waveform(voiced_segment(1.3, 180.0, 150.0,
+                                        [(700, 100), (1200, 140)], seed=5), SR)
+        a, b = mcep(w), mcep(other)
+        assert len(a) != len(b)
+        assert_matches_oracle(a, b)
+        assert_matches_oracle(b, a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 14), st.integers(1, 14), st.integers(0, 2**32 - 1),
+       st.booleans())
+def test_dtw_align_oracle_property(n, m, seed, integer):
+    rng = np.random.default_rng(seed)
+    if integer:
+        a = rng.integers(-2, 3, size=(n, 3)).astype(float)
+        b = rng.integers(-2, 3, size=(m, 3)).astype(float)
+    else:
+        a, b = rng.standard_normal((n, 3)), rng.standard_normal((m, 3))
+    assert_matches_oracle(McepFrames(a, MCEP_HOP, 3), McepFrames(b, MCEP_HOP, 3))
+
+
+class TestMcepFramesValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frames_rejected(self, bad):
+        frames = np.zeros((4, 3))
+        frames[2, 1] = bad
+        with pytest.raises(InputError, match="finite"):
+            McepFrames(frames, MCEP_HOP, 3)
 
 
 class TestMcd:
@@ -347,6 +407,15 @@ class TestEvalReport:
             r.add("u2", self.one(semitone_accuracy=-0.1))
         with pytest.raises(InputError):
             r.add("u3", self.one(sim=2.0))
+
+    @pytest.mark.parametrize("key", ["mcd_db", "f0_rmse", "vuv_e",
+                                     "semitone_accuracy", "wer", "sim"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, key, bad):
+        r = EvalReport()
+        with pytest.raises(InputError, match="not finite"):
+            r.add("u1", self.one(**{key: bad}))
+        assert r.per_utterance == {}
 
     def test_duplicate_utterance_rejected(self):
         r = EvalReport()
