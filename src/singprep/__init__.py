@@ -7,6 +7,8 @@ The pipeline in one sentence: lyrics become a shared phoneme inventory
 and synthesis output is scored objectively (metrics).
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
 from .annotation import (
@@ -32,30 +34,7 @@ from .lexicon import (
     segment_lyrics,
     split_pinyin,
 )
-from .metrics import (
-    EvalReport,
-    McepFrames,
-    cosine_sim,
-    dtw_align,
-    evaluate_pair,
-    f0_rmse,
-    mcd,
-    mcd_from_frames,
-    mcep,
-    semitone_accuracy,
-    tokenize_transcript,
-    vuv_error,
-    wer,
-)
-from .pseudo import (
-    MelodyBank,
-    MelodyTemplate,
-    annotate_speech,
-    choose_melody,
-    load_melody_bank,
-    make_pseudo_singing,
-    render_melody,
-)
+from .melody import MelodyBank, MelodyTemplate, choose_melody, load_melody_bank
 from .score import (
     PSEUDO_SINGING,
     SINGING,
@@ -86,6 +65,25 @@ from .textgrid import (
     serialize_textgrid,
     write_textgrid,
 )
+
+# Names from the numpy/scipy modules, imported on first use (PEP 562) so that
+# the text-only parts of the toolkit start without loading either library.
+_LAZY = {
+    **dict.fromkeys(
+        ("EvalReport", "McepFrames", "cosine_sim", "dtw_align", "evaluate_pair", "f0_rmse",
+         "mcd", "mcd_from_frames", "mcep", "semitone_accuracy", "tokenize_transcript",
+         "vuv_error", "wer"),
+        "metrics",
+    ),
+    **dict.fromkeys(("annotate_speech", "make_pseudo_singing", "render_melody"), "pseudo"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
 
 __all__ = [
     "AlignmentTier",

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 from .score import PhonemeEvent
 
 VOICE_PARTS = ("Bass", "Baritone", "Tenor", "Alto", "Soprano")
@@ -193,7 +193,14 @@ def read_manifest(path) -> list[AnnotationRecord]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError:
-        rows = [json.loads(line) for line in text.splitlines() if line.strip()]
+        rows = []
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if not line.strip():
+                continue
+            try:
+                rows.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{path}: line {lineno} is not valid JSON: {exc}") from None
     else:
         if isinstance(doc, dict) and "records" in doc:
             rows = doc["records"]

@@ -3,6 +3,9 @@
 Subcommands: g2p, transcode, adapt, pseudo, plan-svc, eval. Logs go to
 stderr; data goes to stdout or to files. Exit codes: 0 success, 1 internal
 error, 2 input or validation error.
+
+The numpy/scipy modules (dsp, metrics, pseudo) are imported inside the
+pseudo and eval functions, so the text subcommands start without them.
 """
 
 from __future__ import annotations
@@ -19,12 +22,10 @@ from . import __version__
 from .annotation import (AnnotationRecord, dumps_manifest, read_manifest, write_annotation,
                           write_manifest)
 from .config import STRATEGIES, PipelineConfig, resolve_config
-from .dsp.audio import read_wav, write_wav
 from .errors import InputError, ParseError, ValidationError
 from .lexicon import (ENGLISH, MANDARIN, Lexicon, LyricToken, default_lexicon, g2p,
                       language_of, segment_lyrics)
-from .metrics import EvalReport, evaluate_pair, read_embedding, tokenize_transcript
-from .pseudo import choose_melody, load_melody_bank, make_pseudo_singing
+from .melody import choose_melody, load_melody_bank
 from .score import (
     RatioTable,
     ScoreEvent,
@@ -165,7 +166,10 @@ def _score_events(path) -> list[ScoreEvent]:
             if lang not in (None, *_LANGUAGES):
                 raise InputError(f"{path}: event {i} has unknown lang {lang!r}")
             token = LyricToken(lyric, language_of(lyric) if lang is None else _LANGUAGES[lang])
-        events.append(ScoreEvent(token, int(entry["note"]), float(entry["dur"]), slur))
+        try:
+            events.append(ScoreEvent(token, int(entry["note"]), float(entry["dur"]), slur))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{path}: event {i}: {exc}") from None
     return events
 
 
@@ -263,13 +267,16 @@ def _find_tiers(tiers, path):
 
 def _pseudo_worker(payload: tuple) -> tuple[str, str, str]:
     """One utterance: returns (utt_id, melody id or '', error or '')."""
-    entry, bank_path, seed, out_dir, hop = payload
+    from .dsp.audio import read_wav, write_wav
+    from .pseudo import make_pseudo_singing
+
+    entry, bank, seed, out_dir, hop = payload
     utt_id = entry["utt_id"]
     try:
         wave = read_wav(entry["audio"], downmix=True)
         word_tier, phone_tier = _find_tiers(read_textgrid(entry["textgrid"]), entry["textgrid"])
         utt_seed = derive_seed(seed, utt_id)
-        melody = choose_melody(load_melody_bank(bank_path), utt_seed)
+        melody = choose_melody(bank, utt_seed)
         rendered, record = make_pseudo_singing(
             wave, word_tier, phone_tier, melody, utt_seed,
             utt_id=utt_id, audio_path=f"{utt_id}.wav",
@@ -283,15 +290,21 @@ def _pseudo_worker(payload: tuple) -> tuple[str, str, str]:
 
 
 def cmd_pseudo(args, cfg: PipelineConfig) -> int:
+    from . import pseudo  # noqa: F401 - loaded before the pool forks, so workers inherit it
+
     entries = _by_utt_id(
         _read_entries(args.manifest, "utterances", ("utt_id", "audio", "textgrid")),
         args.manifest,
     ).values()
+    for entry in entries:
+        utt_id = entry["utt_id"]
+        if Path(utt_id).name != utt_id or utt_id in (".", ".."):
+            raise InputError(f"{args.manifest}: utt_id {utt_id!r} is not a plain file name")
+    bank_path = args.melody_bank if args.melody_bank is not None else cfg.melody_bank
+    bank = load_melody_bank(bank_path)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    bank_path = args.melody_bank if args.melody_bank is not None else cfg.melody_bank
-    load_melody_bank(bank_path)  # validate before fanning out
-    payloads = [(e, bank_path, cfg.seed, str(out_dir), cfg.hop) for e in entries]
+    payloads = [(e, bank, cfg.seed, str(out_dir), cfg.hop) for e in entries]
     stop = None if args.keep_going else (lambda res: bool(res[2]))
     results = run_batch(_pseudo_worker, payloads, cfg.workers, stop)
 
@@ -336,6 +349,9 @@ def cmd_plan_svc(args, cfg: PipelineConfig) -> int:
 # -- eval ---------------------------------------------------------------------
 
 def _eval_worker(payload: tuple) -> tuple[str, dict]:
+    from .dsp.audio import read_wav
+    from .metrics import evaluate_pair, read_embedding, tokenize_transcript
+
     utt_id, ref_entry, hyp_entry = payload
     ref = read_wav(ref_entry["audio"], downmix=True)
     hyp = read_wav(hyp_entry["audio"], downmix=True)
@@ -351,6 +367,8 @@ def _eval_worker(payload: tuple) -> tuple[str, dict]:
 
 
 def cmd_eval(args, cfg: PipelineConfig) -> int:
+    from .metrics import EvalReport
+
     refs = _by_utt_id(_read_entries(args.ref, "utterances", ("utt_id", "audio")), args.ref)
     hyps = _by_utt_id(_read_entries(args.hyp, "utterances", ("utt_id", "audio")), args.hyp)
     if set(refs) != set(hyps):

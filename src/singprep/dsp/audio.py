@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import resample_poly
 
 from ..errors import InputError
 
@@ -83,6 +82,8 @@ def resample(waveform: Waveform, target_rate: int) -> Waveform:
         raise InputError(f"target rate must be positive, got {target_rate}")
     if target_rate == waveform.sample_rate:
         return waveform
+    from scipy.signal import resample_poly  # slow to import: loaded only when a rate changes
+
     g = math.gcd(int(target_rate), int(waveform.sample_rate))
     up, down = target_rate // g, waveform.sample_rate // g
     out = resample_poly(waveform.samples, up, down)

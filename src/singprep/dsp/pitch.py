@@ -43,8 +43,8 @@ class F0Contour:
         object.__setattr__(self, "values", values)
         if values.ndim != 1:
             raise InputError("F0 contour must be 1-D")
-        if self.hop <= 0:
-            raise InputError(f"hop must be positive, got {self.hop}")
+        if not (math.isfinite(self.hop) and self.hop > 0):
+            raise InputError(f"hop must be positive and finite, got {self.hop}")
         if not np.all(np.isfinite(values)) or np.any(values < 0):
             raise InputError("F0 values must be finite and nonnegative")
 
@@ -66,6 +66,13 @@ def centered_frames(x: np.ndarray, n: int, hop: int, width: int) -> np.ndarray:
     half = width // 2
     padded = np.pad(x, (half, width - half), mode="reflect")
     return sliding_window_view(padded, width)[::hop][:n]
+
+
+def periodic_hann(n: int) -> np.ndarray:
+    """The n-point periodic Hann window, bit-identical to scipy's hann(n, sym=False)."""
+    if n <= 1:
+        return np.ones(n)
+    return (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
 
 
 def extract_f0(

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy.fft import irfft, rfft
-from scipy.signal.windows import hann
 
 from ..errors import InputError
 from .audio import Waveform
@@ -28,6 +27,7 @@ from .pitch import (
     centered_frames,
     extract_f0,
     frame_count,
+    periodic_hann,
 )
 
 DEFAULT_FFT = 1024
@@ -99,7 +99,7 @@ def analyze(
     if n != len(f0):
         raise InputError("frame count mismatch between F0 and spectral analysis")
 
-    win = hann(fft_size, sym=False)
+    win = periodic_hann(fft_size)
     wsum2 = float(np.sum(win * win))
     frames = centered_frames(waveform.samples, n, hop_samples, fft_size) * win
 
@@ -223,7 +223,7 @@ def synthesize(
     pulses = pulses[:length]
     noise = rng.standard_normal(length)
 
-    win = hann(fft_size, sym=False)
+    win = periodic_hann(fft_size)
     freqs = np.arange(fft_size // 2 + 1) * sr / fft_size
     amp = np.sqrt(analysis.envelope)
     half = fft_size // 2

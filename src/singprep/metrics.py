@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import dct, rfft
-from scipy.signal.windows import hann
 
 from .dsp.audio import Waveform, resample
-from .dsp.pitch import F0Contour, centered_frames, extract_f0, frame_count, nearest_midi
+from .dsp.pitch import (F0Contour, centered_frames, extract_f0, frame_count, nearest_midi,
+                        periodic_hann)
 from .errors import InputError
 from .lexicon import _is_han
 
@@ -52,8 +52,8 @@ class McepFrames:
             raise InputError(
                 f"frames must be (n, {self.order}), got shape {frames.shape}"
             )
-        if self.hop <= 0:
-            raise InputError(f"hop must be positive, got {self.hop}")
+        if not (math.isfinite(self.hop) and self.hop > 0):
+            raise InputError(f"hop must be positive and finite, got {self.hop}")
         if not np.all(np.isfinite(frames)):
             raise InputError("mel-cepstral frames must be finite")
 
@@ -101,7 +101,7 @@ def mcep(waveform: Waveform, order: int = MCEP_ORDER) -> McepFrames:
         )
     n = frame_count(len(waveform), hop_samples)
     frames = centered_frames(waveform.samples, n, hop_samples, win_samples)
-    win = hann(win_samples, sym=False)
+    win = periodic_hann(win_samples)
     spec = np.abs(rfft(frames * win, win_samples, axis=1)) ** 2
     fb = _mel_filterbank(sr, win_samples, _N_MELS)
     mel = spec @ fb.T

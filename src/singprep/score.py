@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
@@ -60,8 +61,8 @@ class ScoreEvent:
     is_slur: bool = False
 
     def __post_init__(self):
-        if self.note_dur <= 0:
-            raise ValueError(f"note_dur must be positive, got {self.note_dur}")
+        if not (math.isfinite(self.note_dur) and self.note_dur > 0):
+            raise ValueError(f"note_dur must be positive and finite, got {self.note_dur}")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ from importlib import resources
 
 from singprep import (
     AnnotationRecord,
+    ParseError,
     PhonemeEvent,
     ValidationError,
     dumps_annotation,
@@ -174,6 +175,13 @@ class TestManifest:
         p = tmp_path / "m.json"
         p.write_text(json.dumps({"records": [r.to_document() for r in recs]}))
         with pytest.raises(ValidationError, match="duplicate"):
+            read_manifest(p)
+
+    def test_bad_line_delimited_row_names_its_line(self, tmp_path):
+        p = tmp_path / "m.jsonl"
+        write_manifest([sample_record("u1")], p, line_delimited=True)
+        p.write_text(p.read_text() + "\n{not json\n")
+        with pytest.raises(ParseError, match="line 3"):
             read_manifest(p)
 
     def test_bare_list_accepted(self, tmp_path):

@@ -1,9 +1,11 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
-from singprep import AnnotationRecord, PhonemeEvent, write_manifest
+from singprep import AnnotationRecord, PhonemeEvent, load_melody_bank, write_manifest
+from singprep import cli
 from singprep.cli import build_parser, derive_seed, main
 from singprep.score import RatioTable
 from singprep.textgrid import AlignmentTier, Interval, write_textgrid
@@ -146,6 +148,19 @@ class TestTranscode:
         ]})
         assert main(["transcode", "--score", score]) == 2
 
+    @pytest.mark.parametrize("event", [
+        {"lyric": "cat", "note": 64, "dur": 0},
+        {"lyric": "cat", "note": 64, "dur": float("nan")},
+        {"lyric": "cat", "note": "x", "dur": 0.4},
+        {"lyric": "cat", "note": None, "dur": 0.4},
+    ])
+    def test_malformed_event_fails_naming_it(self, tmp_path, caplog, event):
+        score = write_json(tmp_path / "score.json", {"events": [
+            {"lyric": "cat", "note": 64, "dur": 0.4}, event,
+        ]})
+        assert main(["transcode", "--score", score]) == 2
+        assert "score.json: event 1:" in caplog.text
+
 
 class TestAdapt:
     def adapted(self, path):
@@ -214,6 +229,13 @@ class TestAdapt:
     def test_empty_manifest_fails(self, tmp_path):
         path = write_json(tmp_path / "in.json", {"records": []})
         assert main(["adapt", "--input", path, "--strategy", "average"]) == 2
+
+    def test_bad_json_lines_row_fails_naming_it(self, tmp_path, caplog):
+        record = json.loads(Path(cun_manifest(tmp_path / "in.json")).read_text())["records"][0]
+        path = tmp_path / "in.jsonl"
+        path.write_text(json.dumps(record) + "\n{not json\n", encoding="utf-8")
+        assert main(["adapt", "--input", str(path), "--strategy", "average"]) == 2
+        assert "in.jsonl: line 2 is not valid JSON" in caplog.text
 
 
 @pytest.fixture()
@@ -344,6 +366,34 @@ class TestPseudo:
     def test_missing_manifest_fails(self, tmp_path):
         assert main(["pseudo", "--manifest", str(tmp_path / "nope.json"),
                      "--output-dir", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("utt_id", ["../escaped", "sub/clip", "clip/", "..", ".", "ABS"])
+    def test_utt_id_that_is_not_a_file_name_fails(self, tmp_path, utt_id):
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        wav, tg = write_clip_files(inputs, utt_id="clip")
+        if utt_id == "ABS":
+            utt_id = str(tmp_path / "abs")
+        manifest = write_json(inputs / "manifest.json", {"utterances": [
+            {"utt_id": utt_id, "audio": str(wav), "textgrid": str(tg)},
+        ]})
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["pseudo", "--manifest", manifest,
+                     "--output-dir", str(tmp_path / "out" / "sub")]) == 2
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_melody_bank_loaded_once_per_run(self, speech_manifest, monkeypatch):
+        manifest, tmp_path = speech_manifest
+        calls = []
+
+        def counting(path=None):
+            calls.append(path)
+            return load_melody_bank(path)
+
+        monkeypatch.setattr(cli, "load_melody_bank", counting)
+        assert main(["pseudo", "--manifest", manifest,
+                     "--output-dir", str(tmp_path / "out")]) == 0
+        assert calls == [None]
 
 
 class TestPlanSvc:

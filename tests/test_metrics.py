@@ -158,6 +158,11 @@ class TestMcepFramesValidation:
         with pytest.raises(InputError, match="finite"):
             McepFrames(frames, MCEP_HOP, 3)
 
+    @pytest.mark.parametrize("hop", [0.0, -MCEP_HOP, float("nan"), float("inf")])
+    def test_nonpositive_or_non_finite_hop_rejected(self, hop):
+        with pytest.raises(InputError, match="hop"):
+            McepFrames(np.zeros((2, 3)), hop, 3)
+
 
 class TestMcd:
     def test_identity_zero(self):

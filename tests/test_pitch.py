@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from singprep import InputError
+from singprep.dsp.pitch import periodic_hann
 from singprep.dsp import (
     F0Contour,
     Waveform,
@@ -157,3 +158,15 @@ class TestContainers:
     def test_negative_values_rejected(self):
         with pytest.raises(InputError):
             F0Contour(np.array([-1.0]), 0.005)
+
+    @pytest.mark.parametrize("hop", [0.0, -0.005, float("nan"), float("inf")])
+    def test_nonpositive_or_non_finite_hop_rejected(self, hop):
+        with pytest.raises(InputError, match="hop"):
+            F0Contour(np.zeros(3), hop)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 1024, 1200, 2048])
+def test_periodic_hann_equals_scipy(n):
+    from scipy.signal.windows import hann
+
+    assert np.array_equal(periodic_hann(n), hann(n, sym=False))
