@@ -178,10 +178,6 @@ def read_annotation(path) -> AnnotationRecord:
     return AnnotationRecord.from_document(doc)
 
 
-def loads_annotation(text: str) -> AnnotationRecord:
-    return AnnotationRecord.from_document(json.loads(text))
-
-
 # -- manifests ---------------------------------------------------------------
 # A dataset is either one JSON document {"records": [...]} or a line-delimited
 # stream with one record object per line; both are accepted on read.

@@ -2,7 +2,8 @@
 
 Subcommands: g2p, transcode, adapt, pseudo, plan-svc, eval. Logs go to
 stderr; data goes to stdout or to files. Exit codes: 0 success, 1 internal
-error, 2 input or validation error.
+error, 2 input or validation error (including an unreadable, non-UTF-8 or
+directory path).
 
 The numpy/scipy modules (dsp, metrics, pseudo) are imported inside the
 pseudo and eval functions, so the text subcommands start without them.
@@ -156,6 +157,8 @@ def _score_events(path) -> list[ScoreEvent]:
     events = []
     for i, entry in enumerate(entries):
         lyric = entry.get("lyric")
+        if not isinstance(lyric, (str, type(None))):
+            raise InputError(f"{path}: event {i} lyric must be a string, got {lyric!r}")
         slur = bool(entry.get("slur", False))
         if lyric in (None, ""):
             if not slur:
@@ -464,7 +467,7 @@ def main(argv=None) -> int:
         for failure in exc.failures:
             log.error("%s", failure)
         return EXIT_INPUT
-    except (InputError, ParseError, FileNotFoundError, NotADirectoryError) as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         log.error("%s", exc)
         return EXIT_INPUT
     except Exception:  # noqa: BLE001 - last-resort boundary

@@ -75,26 +75,20 @@ def periodic_hann(n: int) -> np.ndarray:
     return (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
 
 
-def extract_f0(
-    waveform: Waveform,
-    hop: float = DEFAULT_HOP,
-    fmin: float = DEFAULT_FMIN,
-    fmax: float = DEFAULT_FMAX,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> F0Contour:
-    """Estimate the F0 contour of a mono waveform.
+def extract_f0(waveform: Waveform, hop: float = DEFAULT_HOP) -> F0Contour:
+    """Estimate the F0 contour of a mono waveform in DEFAULT_FMIN..DEFAULT_FMAX Hz.
 
-    Requires sample_rate >= 4*fmax and at least two analysis windows of
-    audio (the integration window is one maximum pitch period).
+    Requires sample_rate >= 4*DEFAULT_FMAX and at least two analysis windows
+    of audio (the integration window is one maximum pitch period).
     """
     sr = waveform.sample_rate
-    if sr < 4 * fmax:
-        raise InputError(f"sample rate {sr} too low for fmax {fmax} (need >= {4 * fmax:.0f})")
-    if not 0 < fmin < fmax:
-        raise InputError(f"need 0 < fmin < fmax, got {fmin}, {fmax}")
+    if sr < 4 * DEFAULT_FMAX:
+        raise InputError(
+            f"sample rate {sr} too low for fmax {DEFAULT_FMAX} (need >= {4 * DEFAULT_FMAX:.0f})"
+        )
     x = waveform.samples
-    lag_min = max(2, int(sr / fmax))
-    lag_max = int(math.ceil(sr / fmin))
+    lag_min = max(2, int(sr / DEFAULT_FMAX))
+    lag_max = int(math.ceil(sr / DEFAULT_FMIN))
     w = lag_max  # integration window: one maximum period
     if x.size < 2 * w:
         raise InputError(
@@ -147,7 +141,7 @@ def extract_f0(
         else:
             near = mins[seg[mins] <= float(np.min(seg[mins])) + 0.02]
             tau = lag_min + int(near[0])
-        if row[tau] >= threshold:
+        if row[tau] >= DEFAULT_THRESHOLD:
             continue
         # parabolic refinement on the normalized difference
         if 1 <= tau < w:
@@ -158,7 +152,7 @@ def extract_f0(
         else:
             delta = 0.0
         f0 = sr / (tau + delta)
-        values[i] = min(max(f0, fmin), fmax)
+        values[i] = min(max(f0, DEFAULT_FMIN), DEFAULT_FMAX)
     return F0Contour(values, hop)
 
 

@@ -18,17 +18,7 @@ from scipy.fft import irfft, rfft
 
 from ..errors import InputError
 from .audio import Waveform
-from .pitch import (
-    DEFAULT_FMAX,
-    DEFAULT_FMIN,
-    DEFAULT_HOP,
-    DEFAULT_THRESHOLD,
-    F0Contour,
-    centered_frames,
-    extract_f0,
-    frame_count,
-    periodic_hann,
-)
+from .pitch import DEFAULT_HOP, F0Contour, centered_frames, extract_f0, frame_count, periodic_hann
 
 DEFAULT_FFT = 1024
 DEFAULT_BANDS = 5
@@ -37,10 +27,10 @@ _ENVELOPE_FLOOR = 1e-20
 _UNVOICED_SMOOTH_HZ = 120.0  # lifter cutoff stand-in where no pitch exists
 
 
-def band_edges(sample_rate: int, n_bands: int = DEFAULT_BANDS) -> tuple[float, ...]:
-    """Logarithmically spaced band edges from 0 to Nyquist (octave steps)."""
+def band_edges(sample_rate: int) -> tuple[float, ...]:
+    """Edges of DEFAULT_BANDS octave-spaced bands from 0 to Nyquist."""
     nyq = sample_rate / 2.0
-    edges = [0.0] + [nyq / 2.0 ** (n_bands - 1 - k) for k in range(n_bands)]
+    edges = [0.0] + [nyq / 2.0 ** (DEFAULT_BANDS - 1 - k) for k in range(DEFAULT_BANDS)]
     return tuple(edges)
 
 
@@ -75,16 +65,8 @@ class AnalysisResult:
         return len(self.f0)
 
 
-def analyze(
-    waveform: Waveform,
-    hop: float = DEFAULT_HOP,
-    fft_size: int = DEFAULT_FFT,
-    n_bands: int = DEFAULT_BANDS,
-    fmin: float = DEFAULT_FMIN,
-    fmax: float = DEFAULT_FMAX,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> AnalysisResult:
-    """Full source-filter analysis at a fixed frame hop.
+def analyze(waveform: Waveform, hop: float = DEFAULT_HOP) -> AnalysisResult:
+    """Full source-filter analysis at a fixed frame hop and DEFAULT_FFT size.
 
     The envelope is the short-time power spectrum smoothed by cepstral
     liftering below the pitch period, which strips harmonic ripple and keeps
@@ -93,52 +75,52 @@ def analyze(
     unvoiced frames are fully aperiodic.
     """
     sr = waveform.sample_rate
-    f0 = extract_f0(waveform, hop=hop, fmin=fmin, fmax=fmax, threshold=threshold)
+    f0 = extract_f0(waveform, hop=hop)
     hop_samples = max(1, int(round(hop * sr)))
     n = frame_count(len(waveform), hop_samples)
     if n != len(f0):
         raise InputError("frame count mismatch between F0 and spectral analysis")
 
-    win = periodic_hann(fft_size)
+    win = periodic_hann(DEFAULT_FFT)
     wsum2 = float(np.sum(win * win))
-    frames = centered_frames(waveform.samples, n, hop_samples, fft_size) * win
+    frames = centered_frames(waveform.samples, n, hop_samples, DEFAULT_FFT) * win
 
     # --- smoothed envelope ---
-    spec = np.abs(rfft(frames, fft_size, axis=1)) ** 2 / wsum2
+    spec = np.abs(rfft(frames, DEFAULT_FFT, axis=1)) ** 2 / wsum2
     spec = np.maximum(spec, _ENVELOPE_FLOOR)
     pitch = np.where(f0.voiced, f0.values, _UNVOICED_SMOOTH_HZ)
     # rectangular smoothing over one harmonic spacing fills the comb valleys,
     # otherwise the liftered envelope sags between harmonics and its formant
     # peaks drift
-    bin_hz = sr / fft_size
+    bin_hz = sr / DEFAULT_FFT
     for i in range(n):
         k = int(round(pitch[i] / bin_hz))
         if k > 1:
             row = np.pad(spec[i], (k, k), mode="reflect")
             spec[i] = np.convolve(row, np.full(k, 1.0 / k), mode="same")[k:-k]
     spec = np.maximum(spec, _ENVELOPE_FLOOR)
-    cepstrum = irfft(np.log(spec), fft_size, axis=1)
-    cutoff = np.minimum(0.7 * sr / pitch, fft_size // 2 - 1).astype(int)
-    q = np.arange(fft_size)
-    keep = (q[None, :] <= cutoff[:, None]) | (q[None, :] >= fft_size - cutoff[:, None])
-    envelope = np.exp(rfft(np.where(keep, cepstrum, 0.0), fft_size, axis=1).real)
+    cepstrum = irfft(np.log(spec), DEFAULT_FFT, axis=1)
+    cutoff = np.minimum(0.7 * sr / pitch, DEFAULT_FFT // 2 - 1).astype(int)
+    q = np.arange(DEFAULT_FFT)
+    keep = (q[None, :] <= cutoff[:, None]) | (q[None, :] >= DEFAULT_FFT - cutoff[:, None])
+    envelope = np.exp(rfft(np.where(keep, cepstrum, 0.0), DEFAULT_FFT, axis=1).real)
     envelope = np.maximum(envelope, _ENVELOPE_FLOOR)
 
     # --- band aperiodicity ---
-    edges = band_edges(sr, n_bands)
-    pad_fft = 2 * fft_size  # zero padding makes the FFT autocorrelation linear
+    edges = band_edges(sr)
+    pad_fft = 2 * DEFAULT_FFT  # zero padding makes the FFT autocorrelation linear
     padded_spec = np.abs(rfft(frames, pad_fft, axis=1)) ** 2
     freqs = np.arange(pad_fft // 2 + 1) * sr / pad_fft
     win_acf = irfft(np.abs(rfft(win, pad_fft)) ** 2, pad_fft)
 
-    ap = np.ones((n, n_bands))
+    ap = np.ones((n, DEFAULT_BANDS))
     voiced_idx = np.flatnonzero(f0.voiced)
     if voiced_idx.size:
         lags = sr / f0.values[voiced_idx]  # fractional pitch-period lags
         lag0 = np.floor(lags).astype(int)
         frac = lags - lag0
         wc0 = win_acf[lag0] + frac * (win_acf[lag0 + 1] - win_acf[lag0])
-        for b in range(n_bands):
+        for b in range(DEFAULT_BANDS):
             in_band = (freqs >= edges[b]) & (freqs < edges[b + 1])
             if not np.any(in_band):
                 continue
@@ -153,7 +135,7 @@ def analyze(
                 rho = np.where(r0 > 1e-12 * np.max(r0, initial=0.0) + 1e-300,
                                r_tau / r0 * corr, 0.0)
             ap[voiced_idx, b] = np.clip(1.0 - rho, 0.0, 1.0)
-    return AnalysisResult(f0, envelope, ap, sr, fft_size, edges)
+    return AnalysisResult(f0, envelope, ap, sr, DEFAULT_FFT, edges)
 
 
 def replace_f0(analysis: AnalysisResult, target: F0Contour) -> AnalysisResult:
@@ -176,11 +158,7 @@ def _ap_per_bin(ap_row: np.ndarray, freqs: np.ndarray, edges: tuple[float, ...])
     return out
 
 
-def synthesize(
-    analysis: AnalysisResult,
-    sample_rate: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> Waveform:
+def synthesize(analysis: AnalysisResult, rng: np.random.Generator | None = None) -> Waveform:
     """Render audio from an analysis: filtered pulse train plus shaped noise.
 
     Deterministic for a given rng seed (the noise source is the only
@@ -188,11 +166,7 @@ def synthesize(
     """
     if analysis.n_frames == 0:
         raise InputError("cannot synthesize from a zero-frame analysis")
-    sr = analysis.sample_rate if sample_rate is None else int(sample_rate)
-    if sr != analysis.sample_rate:
-        raise InputError(
-            f"analysis was made at {analysis.sample_rate} Hz, cannot render at {sr}"
-        )
+    sr = analysis.sample_rate
     rng = np.random.default_rng(0) if rng is None else rng
     n = analysis.n_frames
     fft_size = analysis.fft_size

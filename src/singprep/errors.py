@@ -1,12 +1,13 @@
 """Exception types shared across the toolkit.
 
 Everything that means "the user's input is bad" derives from InputError so the
-CLI can map it to exit code 2; any other exception is an internal error
-(exit code 1).
+CLI can map it to exit code 2, as it does an unreadable or non-UTF-8 file; any
+other exception is an internal error (exit code 1). InputError is a ValueError,
+so code that catches ValueError around a constructor also catches it.
 """
 
 
-class InputError(Exception):
+class InputError(ValueError):
     """Malformed files, out-of-vocabulary tokens, invalid arguments."""
 
 

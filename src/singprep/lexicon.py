@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, TextIO
 
-from .errors import OovError, ParseError
+from .errors import InputError, OovError, ParseError
 
 log = logging.getLogger(__name__)
 
@@ -70,9 +70,9 @@ class LyricToken:
 
     def __post_init__(self):
         if self.language not in (MANDARIN, ENGLISH):
-            raise ValueError(f"language token must be 0 or 1, got {self.language}")
+            raise InputError(f"language token must be 0 or 1, got {self.language}")
         if not self.surface:
-            raise ValueError("empty lyric token")
+            raise InputError("empty lyric token")
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ class PhonemeSeq:
 
     def __post_init__(self):
         if len(self.phonemes) != len(self.language_tokens):
-            raise ValueError(
+            raise InputError(
                 f"length mismatch: {len(self.phonemes)} phonemes vs "
                 f"{len(self.language_tokens)} language tokens"
             )
@@ -173,9 +173,6 @@ class Lexicon:
 
     # -- lookups ----------------------------------------------------------
 
-    def split_pinyin(self, syllable: str) -> tuple[str, str]:
-        return split_pinyin(syllable, self.initials_table)
-
     def lookup_english(self, word: str) -> tuple[str, ...]:
         try:
             return self.english_entries[word.upper()]
@@ -224,13 +221,6 @@ class Lexicon:
 
     def is_initial(self, unit: str) -> bool:
         return unit.lower() in self.initials_table
-
-    def mandarin_inventory(self) -> frozenset[str]:
-        """Every CMU phone reachable from the pinyin table."""
-        out: set[str] = set()
-        for phones in self.pinyin_entries.values():
-            out.update(phones)
-        return frozenset(out)
 
 
 def split_pinyin(syllable: str, initials_table: tuple[str, ...] = DEFAULT_INITIALS) -> tuple[str, str]:

@@ -81,11 +81,11 @@ def _mel_filterbank(sr: int, n_fft: int, n_mels: int) -> np.ndarray:
     return fb
 
 
-def mcep(waveform: Waveform, order: int = MCEP_ORDER) -> McepFrames:
+def mcep(waveform: Waveform) -> McepFrames:
     """Mel-cepstra at a 50 ms window and 12.5 ms hop.
 
     Per frame: windowed power spectrum, mel filterbank, log, orthonormal
-    cosine transform; coefficients 1..order are kept so overall gain (c_0)
+    cosine transform; coefficients 1..MCEP_ORDER are kept so overall gain (c_0)
     never enters the distortion.
     """
     if waveform.sample_rate != MCEP_RATE:
@@ -107,8 +107,8 @@ def mcep(waveform: Waveform, order: int = MCEP_ORDER) -> McepFrames:
     mel = spec @ fb.T
     floor = np.maximum(mel.max(axis=1, keepdims=True) * _REL_FLOOR, _ABS_FLOOR)
     logmel = np.log(np.maximum(mel, floor))
-    coeffs = dct(logmel, type=2, norm="ortho", axis=1)[:, 1 : order + 1]
-    return McepFrames(coeffs, MCEP_HOP, order)
+    coeffs = dct(logmel, type=2, norm="ortho", axis=1)[:, 1 : MCEP_ORDER + 1]
+    return McepFrames(coeffs, MCEP_HOP, MCEP_ORDER)
 
 
 def dtw_align(a: McepFrames, b: McepFrames) -> list[tuple[int, int]]:

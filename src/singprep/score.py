@@ -23,7 +23,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .errors import OovError, ParseError
+from .errors import InputError, OovError, ParseError
 from .lexicon import CMU_PHONES, CMU_VOWELS, ENGLISH, Lexicon, LyricToken, token_phones
 from .textgrid import AlignmentTier
 
@@ -46,6 +46,8 @@ DEFAULT_SUBSTITUTIONS = {
 }
 DEFAULT_INVENTORY = frozenset(CMU_PHONES - set(DEFAULT_SUBSTITUTIONS))
 
+_MIN_ALIGNED_DUR = 0.005  # one 5 ms frame: floor for aligned phone durations
+
 
 def is_silence_label(label: str) -> bool:
     return label.lower() in SILENCE_LABELS
@@ -62,7 +64,7 @@ class ScoreEvent:
 
     def __post_init__(self):
         if not (math.isfinite(self.note_dur) and self.note_dur > 0):
-            raise ValueError(f"note_dur must be positive and finite, got {self.note_dur}")
+            raise InputError(f"note_dur must be positive and finite, got {self.note_dur}")
 
 
 @dataclass(frozen=True)
@@ -79,11 +81,11 @@ class PhonemeEvent:
 
     def __post_init__(self):
         if self.ph_dur <= 0:
-            raise ValueError(f"ph_dur must be positive, got {self.ph_dur}")
+            raise InputError(f"ph_dur must be positive, got {self.ph_dur}")
         if self.language_token not in (0, 1):
-            raise ValueError(f"language_token must be 0 or 1, got {self.language_token}")
+            raise InputError(f"language_token must be 0 or 1, got {self.language_token}")
         if self.style_token not in (0, 1, 2):
-            raise ValueError(f"style_token must be 0, 1, or 2, got {self.style_token}")
+            raise InputError(f"style_token must be 0, 1, or 2, got {self.style_token}")
 
     def is_rest(self) -> bool:
         return self.note_midi == 0 or is_silence_label(self.phoneme)
@@ -101,7 +103,7 @@ class TransformedScore:
     def __post_init__(self):
         n = len(self.phonemes)
         if not (len(self.language_tokens) == len(self.note_pitches) == len(self.note_durs) == n):
-            raise ValueError("the four sequences must have equal length")
+            raise InputError("the four sequences must have equal length")
 
     def __len__(self) -> int:
         return len(self.phonemes)
@@ -177,14 +179,12 @@ class RatioTable:
         expansion = tuple(expansion)
         weights = tuple(float(w) for w in weights)
         if len(weights) != len(expansion):
-            raise ValueError(
-                f"unit {unit!r}: {len(weights)} weights for {len(expansion)} phones"
-            )
-        if any(w < 0 for w in weights):
-            raise ValueError(f"unit {unit!r}: negative weight")
+            raise InputError(f"{len(weights)} weights for {len(expansion)} phones")
+        if not all(math.isfinite(w) and w >= 0 for w in weights):
+            raise InputError(f"weights must be finite and nonnegative, got {list(weights)}")
         total = sum(weights)
         if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"unit {unit!r}: weights sum to {total}, expected 1")
+            raise InputError(f"weights sum to {total}, expected 1")
         self._weights[unit.lower()] = (expansion, weights)
         self._fallback.discard(unit.lower())
 
@@ -227,10 +227,18 @@ class RatioTable:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "RatioTable":
+    def from_dict(cls, doc) -> "RatioTable":
+        """A table from its document: {unit: {"phones": [...], "weights": [...]}}."""
+        if not isinstance(doc, dict):
+            raise ParseError(f"ratio table must be an object of units, got {type(doc).__name__}")
         table = cls()
         for unit, entry in doc.items():
-            table.set(unit, entry["phones"], entry["weights"])
+            try:
+                table.set(unit, entry["phones"], entry["weights"])
+            except KeyError as exc:
+                raise ParseError(f"ratio table unit {unit!r}: missing {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"ratio table unit {unit!r}: {exc}") from None
         return table
 
     def save(self, path) -> None:
@@ -241,7 +249,11 @@ class RatioTable:
     @classmethod
     def load(cls, path) -> "RatioTable":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{path}: invalid JSON: {exc}") from None
+        return cls.from_dict(doc)
 
 
 def _expansion_weights(
@@ -375,9 +387,7 @@ def _adapt_final_group(
 
 
 def extract_ratios(
-    alignment: AlignmentTier,
-    expected: Sequence[tuple[str, Sequence[str]]],
-    min_dur: float = 0.005,
+    alignment: AlignmentTier, expected: Sequence[tuple[str, Sequence[str]]]
 ) -> RatioTable:
     """Duration ratios per Pinyin unit from a forced-alignment phone tier.
 
@@ -407,7 +417,7 @@ def extract_ratios(
     pos = 0
     for unit, exp in expected:
         exp = tuple(exp)
-        durs = [max(d, min_dur) for _, d in aligned[pos:pos + len(exp)]]
+        durs = [max(d, _MIN_ALIGNED_DUR) for _, d in aligned[pos:pos + len(exp)]]
         pos += len(exp)
         total = sum(durs)
         weights = [d / total for d in durs]

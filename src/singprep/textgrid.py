@@ -9,6 +9,7 @@ a parse -> serialize -> parse round trip.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -67,6 +68,12 @@ class AlignmentTier:
 
 # -- scanner ---------------------------------------------------------------
 
+# A quoted string runs to the first quote that is not part of a doubled-quote
+# escape: its closing quote is not followed by another. Anything else up to
+# whitespace is a bare word; one that starts with a quote never closed.
+_TOKEN = re.compile(r'"((?:[^"]|"")*)"(?!")|(\S+)')
+
+
 def _scan(text: str) -> Iterator[tuple[str, object]]:
     """Yield typed values from TextGrid text, ignoring long-form decoration.
 
@@ -76,34 +83,12 @@ def _scan(text: str) -> Iterator[tuple[str, object]]:
     skipped; the short form consists of values only, so both forms reduce to
     the same value stream.
     """
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == '"':
-            i += 1
-            buf: list[str] = []
-            while True:
-                j = text.find('"', i)
-                if j < 0:
-                    raise ParseError("unterminated string in TextGrid")
-                if j + 1 < n and text[j + 1] == '"':  # doubled quote escape
-                    buf.append(text[i:j + 1])
-                    i = j + 2
-                    continue
-                buf.append(text[i:j])
-                i = j + 1
-                break
-            yield ("str", "".join(buf))
-            continue
-        j = i
-        while j < n and not text[j].isspace():
-            j += 1
-        word = text[i:j]
-        i = j
-        if word == "<exists>":
+    for quoted, word in _TOKEN.findall(text):
+        if not word:
+            yield ("str", quoted.replace('""', '"'))
+        elif word.startswith('"'):
+            raise ParseError("unterminated string in TextGrid")
+        elif word == "<exists>":
             yield ("flag", True)
         elif word == "<absent>":
             yield ("flag", False)

@@ -12,10 +12,11 @@ exactly (identical outputs, ``==`` not approx), on any input size.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
-from singprep.errors import InputError
+from singprep.errors import InputError, ParseError
 
 
 def wer_oracle(ref: list[str], hyp: list[str]) -> float | None:
@@ -114,3 +115,43 @@ def dtw_align_oracle(a, b) -> list[tuple[int, int]]:
         path.append((i, j))
     path.reverse()
     return path
+
+
+def textgrid_scan_oracle(text: str) -> Iterator[tuple[str, object]]:
+    """Frozen character-by-character TextGrid lexer (textgrid._scan before its regex)."""
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch == '"':
+            i += 1
+            buf: list[str] = []
+            while True:
+                j = text.find('"', i)
+                if j < 0:
+                    raise ParseError("unterminated string in TextGrid")
+                if j + 1 < n and text[j + 1] == '"':  # doubled quote escape
+                    buf.append(text[i:j + 1])
+                    i = j + 2
+                    continue
+                buf.append(text[i:j])
+                i = j + 1
+                break
+            yield ("str", "".join(buf))
+            continue
+        j = i
+        while j < n and not text[j].isspace():
+            j += 1
+        word = text[i:j]
+        i = j
+        if word == "<exists>":
+            yield ("flag", True)
+        elif word == "<absent>":
+            yield ("flag", False)
+        else:
+            try:
+                yield ("num", float(word))
+            except ValueError:
+                continue  # long-form decoration

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -615,3 +618,57 @@ class TestConfig:
         cfg.write_text(f"{key}: 100\n")
         assert main(["adapt", "--config", str(cfg), "--input", manifest]) == 2
         assert "unknown config keys" in caplog.text
+
+
+# -- exit code 2 for malformed input -------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+_PROPORTIONAL = ["adapt", "--input", "in.json", "--strategy", "proportional"]
+_RATIOS = [*_PROPORTIONAL, "--ratios", "r.json"]
+_SCORE = ["transcode", "--score", "s.json"]
+
+
+@pytest.mark.parametrize("files, argv", [
+    pytest.param({"r.json": '{"c": {"phones": ["T", "S"]}}'}, _RATIOS,
+                 id="ratios-missing-weights"),
+    pytest.param({"r.json": '{"c": {"phones": ["T", "S"], "weights": [0.5, 0.6]}}'}, _RATIOS,
+                 id="ratios-sum-1.1"),
+    pytest.param({"r.json": "[1, 2]"}, _RATIOS, id="ratios-top-level-list"),
+    pytest.param({"r.json": "{not json"}, _RATIOS, id="ratios-not-json"),
+    pytest.param({"r.json": '{"c": {"phones": ["T", "S"], "weights": ["a", 1]}}'}, _RATIOS,
+                 id="ratios-weight-not-a-number"),
+    pytest.param({"r.json": '{"c": {"phones": ["T", "S"], "weights": [NaN, 1]}}'}, _RATIOS,
+                 id="ratios-weight-nan"),
+    pytest.param({"s.json": '{"events": [{"lyric": 5, "note": 60, "dur": 0.5}]}'}, _SCORE,
+                 id="lyric-number"),
+    pytest.param({"s.json": '{"events": [{"lyric": ["a"], "note": 60, "dur": 0.5}]}'}, _SCORE,
+                 id="lyric-list"),
+    pytest.param({}, ["transcode", "--score", "dir"], id="score-is-directory"),
+    pytest.param({}, ["g2p", "--input", "dir"], id="g2p-input-is-directory"),
+    pytest.param({"s.json": '{"events": [{"lyric": "cat", "note": 60, "dur": 0.5}]}'},
+                 [*_SCORE, "--output", "dir"], id="output-is-directory"),
+    pytest.param({}, ["pseudo", "--manifest", "dir", "--output-dir", "out"],
+                 id="manifest-is-directory"),
+    pytest.param({"s.json": b'{"events": [{"lyric": "caf\xe9", "note": 60, "dur": 0.5}]}'},
+                 _SCORE, id="score-not-utf8"),
+    pytest.param({"c.yaml": b"seed: \xe9\n"}, ["g2p", "--config", "c.yaml", "cat"],
+                 id="config-not-utf8"),
+    pytest.param({"tg/cun.TextGrid": b'File type = "ooTextFile"\n"\xe9"\n'},
+                 [*_PROPORTIONAL, "--alignment-dir", "tg"], id="textgrid-not-utf8"),
+])
+def test_malformed_input_exits_2(tmp_path, files, argv):
+    cun_manifest(tmp_path / "in.json")
+    (tmp_path / "dir").mkdir()
+    for name, content in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from singprep.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert any(line.startswith("ERROR ") for line in proc.stderr.splitlines()), proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from singprep import ParseError, parse_textgrid, read_textgrid, serialize_textgrid
-from singprep.textgrid import AlignmentTier, Interval, write_textgrid
+from singprep.textgrid import AlignmentTier, Interval, _scan, write_textgrid
+
+from oracles import textgrid_scan_oracle
 
 LONG_FORM = '''File type = "ooTextFile"
 Object class = "TextGrid"
@@ -92,6 +95,19 @@ class TestParsing:
         tiers = parse_textgrid(text)
         assert tiers[0].intervals[0].label == "AO R"
 
+    @pytest.mark.parametrize("quoted, label", [
+        ('"say ""ah"""', 'say "ah"'),
+        ('""""', '"'),
+        ('"two\nlines"', "two\nlines"),
+    ])
+    def test_quoted_label_escapes(self, quoted, label):
+        tiers = parse_textgrid(SHORT_FORM.replace('"AO"', quoted))
+        assert tiers[0].intervals[0].label == label
+
+    def test_unterminated_string_after_escape(self):
+        with pytest.raises(ParseError, match="unterminated string"):
+            parse_textgrid(SHORT_FORM.replace('"NG"\n', '"N""G\n'))
+
     def test_point_tier_skipped(self):
         text = SHORT_FORM + '"TextTier"\n"clicks"\n0\n1.5\n1\n0.5\n"x"\n'
         text = text.replace("<exists>\n1\n", "<exists>\n2\n")
@@ -114,6 +130,18 @@ class TestParsing:
         text = SHORT_FORM.replace("0.9\n1.5", "0.7\n1.5", 1)
         with pytest.raises(ParseError):
             parse_textgrid(text)
+
+
+def _tokens(scan, text):
+    try:
+        return list(scan(text))
+    except ParseError as exc:
+        return str(exc)
+
+
+@given(st.text(alphabet='"a1 \n\xa0\x1c<>', max_size=16))
+def test_scan_matches_frozen_lexer(text):
+    assert _tokens(_scan, text) == _tokens(textgrid_scan_oracle, text)
 
 
 class TestEncodings:

@@ -130,11 +130,6 @@ class TestSynthesize:
         out = synthesize(analyze(wave), rng=np.random.default_rng(0))
         assert np.abs(out.samples).max() <= 1.0
 
-    def test_sample_rate_mismatch_rejected(self):
-        res = analyze(sine(220.0, 0.5))
-        with pytest.raises(InputError):
-            synthesize(res, sample_rate=16000)
-
     def test_tone_round_trip_pitch(self):
         res = analyze(sine(220.0, 1.0))
         out = synthesize(res, rng=np.random.default_rng(0))
