@@ -66,8 +66,8 @@ from .textgrid import (
     write_textgrid,
 )
 
-# Names from the numpy/scipy modules, imported on first use (PEP 562) so that
-# the text-only parts of the toolkit start without loading either library.
+# Names from the numpy modules, imported on first use (PEP 562) so that
+# the text-only parts of the toolkit start without loading numpy.
 _LAZY = {
     **dict.fromkeys(
         ("EvalReport", "McepFrames", "cosine_sim", "dtw_align", "evaluate_pair", "f0_rmse",

@@ -5,7 +5,7 @@ stderr; data goes to stdout or to files. Exit codes: 0 success, 1 internal
 error, 2 input or validation error (including an unreadable, non-UTF-8 or
 directory path).
 
-The numpy/scipy modules (dsp, metrics, pseudo) are imported inside the
+The numpy modules (dsp, metrics, pseudo) are imported inside the
 pseudo and eval functions, so the text subcommands start without them.
 """
 
@@ -159,7 +159,9 @@ def _score_events(path) -> list[ScoreEvent]:
         lyric = entry.get("lyric")
         if not isinstance(lyric, (str, type(None))):
             raise InputError(f"{path}: event {i} lyric must be a string, got {lyric!r}")
-        slur = bool(entry.get("slur", False))
+        slur = entry.get("slur", False)
+        if not isinstance(slur, bool):
+            raise InputError(f"{path}: event {i}: slur must be true or false, got {slur!r}")
         if lyric in (None, ""):
             if not slur:
                 raise InputError(f"{path}: event {i} has no lyric and is not a slur")
@@ -169,9 +171,12 @@ def _score_events(path) -> list[ScoreEvent]:
             if lang not in (None, *_LANGUAGES):
                 raise InputError(f"{path}: event {i} has unknown lang {lang!r}")
             token = LyricToken(lyric, language_of(lyric) if lang is None else _LANGUAGES[lang])
+        for key in ("note", "dur"):
+            if isinstance(entry[key], bool) or not isinstance(entry[key], (int, float)):
+                raise InputError(f"{path}: event {i}: {key} must be a number, got {entry[key]!r}")
         try:
             events.append(ScoreEvent(token, int(entry["note"]), float(entry["dur"]), slur))
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, ValueError) as exc:
             raise InputError(f"{path}: event {i}: {exc}") from None
     return events
 
@@ -374,6 +379,12 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
 
     refs = _by_utt_id(_read_entries(args.ref, "utterances", ("utt_id", "audio")), args.ref)
     hyps = _by_utt_id(_read_entries(args.hyp, "utterances", ("utt_id", "audio")), args.hyp)
+    for path, by_id in ((args.ref, refs), (args.hyp, hyps)):
+        for utt_id, entry in by_id.items():
+            for key in ("audio", "text", "embedding"):
+                if key in entry and not isinstance(entry[key], str):
+                    raise InputError(f"{path}: utterance {utt_id!r}: {key} must be a string, "
+                                     f"got {entry[key]!r}")
     if set(refs) != set(hyps):
         only_ref = sorted(set(refs) - set(hyps))
         only_hyp = sorted(set(hyps) - set(refs))

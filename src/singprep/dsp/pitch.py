@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import irfft, rfft
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import irfft, next_fast_len, rfft
 
 from ..errors import InputError
 from .audio import Waveform
@@ -66,6 +66,20 @@ def centered_frames(x: np.ndarray, n: int, hop: int, width: int) -> np.ndarray:
     half = width // 2
     padded = np.pad(x, (half, width - half), mode="reflect")
     return sliding_window_view(padded, width)[::hop][:n]
+
+
+def next_fast_len(n: int) -> int:
+    """The smallest 11-smooth integer >= n (only factors 2, 3, 5, 7, 11): an
+    FFT size pocketfft handles fast, equal to scipy.fft.next_fast_len(n)."""
+    size = max(n, 1)
+    while True:
+        rest = size
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return size
+        size += 1
 
 
 def periodic_hann(n: int) -> np.ndarray:

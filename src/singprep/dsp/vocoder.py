@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace as dc_replace
 from pathlib import Path
 
 import numpy as np
-from scipy.fft import irfft, rfft
+from numpy.fft import irfft, rfft
 
 from ..errors import InputError
 from .audio import Waveform

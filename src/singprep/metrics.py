@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dct, rfft
+from numpy.fft import rfft
 
 from .dsp.audio import Waveform, resample
 from .dsp.pitch import (F0Contour, centered_frames, extract_f0, frame_count, nearest_midi,
@@ -35,6 +35,13 @@ _ABS_FLOOR = 1e-30
 METRIC_NAMES = ("mcd_db", "f0_rmse", "vuv_e", "semitone_accuracy", "wer", "sim")
 
 _MCD_ALPHA = 10.0 / math.log(10.0)
+
+# Rows 1..MCEP_ORDER of the orthonormal DCT-II matrix over the mel bands:
+# logmel @ _DCT_BASIS.T equals scipy.fft.dct(logmel, type=2, norm="ortho")[:, 1:]
+# to rounding.
+_DCT_BASIS = math.sqrt(2.0 / _N_MELS) * np.cos(
+    np.pi / (2 * _N_MELS) * np.outer(np.arange(1, MCEP_ORDER + 1), 2 * np.arange(_N_MELS) + 1)
+)
 
 
 @dataclass(frozen=True)
@@ -107,8 +114,7 @@ def mcep(waveform: Waveform) -> McepFrames:
     mel = spec @ fb.T
     floor = np.maximum(mel.max(axis=1, keepdims=True) * _REL_FLOOR, _ABS_FLOOR)
     logmel = np.log(np.maximum(mel, floor))
-    coeffs = dct(logmel, type=2, norm="ortho", axis=1)[:, 1 : MCEP_ORDER + 1]
-    return McepFrames(coeffs, MCEP_HOP, MCEP_ORDER)
+    return McepFrames(logmel @ _DCT_BASIS.T, MCEP_HOP, MCEP_ORDER)
 
 
 def dtw_align(a: McepFrames, b: McepFrames) -> list[tuple[int, int]]:

@@ -1,8 +1,10 @@
+import math
 import struct
 import wave
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from singprep import InputError
 from singprep.dsp import Waveform, read_wav, resample, write_wav
@@ -92,3 +94,37 @@ class TestResample:
     def test_bad_target_rate(self):
         with pytest.raises(InputError):
             resample(sine(220, 0.1), 0)
+
+
+def resample_poly_oracle(x: np.ndarray, rate: int, target: int) -> np.ndarray:
+    """scipy.signal.resample_poly at its defaults, clipped as resample clips."""
+    from scipy.signal import resample_poly
+
+    g = math.gcd(rate, target)
+    return np.clip(resample_poly(x, target // g, rate // g), -1.0, 1.0)
+
+
+class TestResampleMatchesScipy:
+    # from 1 sample (shorter than any filter) to 20 s
+    @pytest.mark.parametrize("seconds", [None, 0.001, 0.05, 0.3, 1.7, 20.0])
+    @pytest.mark.parametrize("rate, target", [(22050, 24000), (16000, 24000), (44100, 24000),
+                                              (48000, 24000), (24000, 16000)])
+    def test_common_rates(self, rate, target, seconds):
+        n = 1 if seconds is None else int(seconds * rate)
+        x = np.random.default_rng(n).uniform(-0.9, 0.9, n)
+        out = resample(Waveform(x, rate), target).samples
+        expected = resample_poly_oracle(x, rate, target)
+        assert out.shape == expected.shape
+        assert np.max(np.abs(out - expected)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(up=st.integers(1, 60), down=st.integers(1, 60), n=st.integers(1, 3000),
+           seed=st.integers(0, 2**32 - 1))
+    def test_coprime_rate_pairs(self, up, down, n, seed):
+        g = math.gcd(up, down)
+        up, down = up // g, down // g
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        out = resample(Waveform(x, down), up).samples
+        expected = resample_poly_oracle(x, down, up)
+        assert out.shape == expected.shape
+        assert np.max(np.abs(out - expected)) <= 1e-12

@@ -10,10 +10,11 @@ import pytest
 from singprep import AnnotationRecord, PhonemeEvent, load_melody_bank, write_manifest
 from singprep import cli
 from singprep.cli import build_parser, derive_seed, main
+from singprep.dsp import write_wav
 from singprep.score import RatioTable
 from singprep.textgrid import AlignmentTier, Interval, write_textgrid
 
-from helpers import write_clip_files
+from helpers import sine, write_clip_files
 
 MIXED_LYRICS = ["我", "和", "你", "from", "one", "world"]
 MIXED_PHONEMES = "W AO HH ER N IY F R AH M W AH N W ER L D"
@@ -156,6 +157,11 @@ class TestTranscode:
         {"lyric": "cat", "note": 64, "dur": float("nan")},
         {"lyric": "cat", "note": "x", "dur": 0.4},
         {"lyric": "cat", "note": None, "dur": 0.4},
+        {"lyric": "dog", "note": 62, "dur": 0.5, "slur": "false"},
+        {"lyric": "cat", "note": True, "dur": 0.4},
+        {"lyric": "cat", "note": "61", "dur": 0.4},
+        {"lyric": "cat", "note": 64, "dur": "0.5"},
+        {"lyric": "cat", "note": float("inf"), "dur": 0.4},
     ])
     def test_malformed_event_fails_naming_it(self, tmp_path, caplog, event):
         score = write_json(tmp_path / "score.json", {"events": [
@@ -626,6 +632,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 _PROPORTIONAL = ["adapt", "--input", "in.json", "--strategy", "proportional"]
 _RATIOS = [*_PROPORTIONAL, "--ratios", "r.json"]
 _SCORE = ["transcode", "--score", "s.json"]
+_EVAL = ["eval", "--ref", "ref.json", "--hyp", "hyp.json"]
+_EVAL_REF = '{"utterances": [{"utt_id": "clip", "audio": "clip.wav", "text": "a b"}]}'
 
 
 @pytest.mark.parametrize("files, argv", [
@@ -643,6 +651,14 @@ _SCORE = ["transcode", "--score", "s.json"]
                  id="lyric-number"),
     pytest.param({"s.json": '{"events": [{"lyric": ["a"], "note": 60, "dur": 0.5}]}'}, _SCORE,
                  id="lyric-list"),
+    pytest.param({"ref.json": _EVAL_REF, "hyp.json": _EVAL_REF.replace('"a b"', "5")}, _EVAL,
+                 id="eval-text-number"),
+    pytest.param({"ref.json": _EVAL_REF, "hyp.json": _EVAL_REF.replace('"a b"', '["a"]')},
+                 _EVAL, id="eval-text-list"),
+    pytest.param({"ref.json": _EVAL_REF.replace('"clip.wav"', "7"), "hyp.json": _EVAL_REF},
+                 _EVAL, id="eval-audio-number"),
+    pytest.param({"ref.json": _EVAL_REF, "hyp.json": _EVAL_REF.replace(
+        '"text"', '"embedding": 3, "text"')}, _EVAL, id="eval-embedding-number"),
     pytest.param({}, ["transcode", "--score", "dir"], id="score-is-directory"),
     pytest.param({}, ["g2p", "--input", "dir"], id="g2p-input-is-directory"),
     pytest.param({"s.json": '{"events": [{"lyric": "cat", "note": 60, "dur": 0.5}]}'},
@@ -658,6 +674,7 @@ _SCORE = ["transcode", "--score", "s.json"]
 ])
 def test_malformed_input_exits_2(tmp_path, files, argv):
     cun_manifest(tmp_path / "in.json")
+    write_wav(sine(220.0, 0.5), tmp_path / "clip.wav")
     (tmp_path / "dir").mkdir()
     for name, content in files.items():
         path = tmp_path / name

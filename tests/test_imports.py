@@ -1,9 +1,9 @@
 """Each subcommand imports only what it runs.
 
-The text subcommands (g2p, transcode, adapt, plan-svc) start without numpy or
-scipy, and the DSP modules load scipy.signal only for a real resample. Each
-check runs in a fresh interpreter, since this test process has long since
-imported everything.
+The text subcommands (g2p, transcode, adapt, plan-svc) start without numpy,
+and no command loads scipy, which is only a test dependency. Each check runs
+in a fresh interpreter, since this test process has long since imported
+everything.
 """
 
 import json
@@ -12,9 +12,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+from singprep.dsp import resample, write_wav
 from singprep.textgrid import AlignmentTier, Interval, write_textgrid
 
-from helpers import write_clip_files
+from helpers import speech_clip, write_clip_files
 from test_cli import cun_manifest, write_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -67,15 +68,37 @@ def test_text_subcommands_load_no_numpy_or_scipy(tmp_path):
         assert (tmp_path / name).stat().st_size > 0
 
 
-def test_dsp_modules_load_no_scipy_signal(tmp_path):
+def test_dsp_modules_load_numpy_and_no_scipy(tmp_path):
     loaded = loaded_modules("import singprep.pseudo, singprep.metrics", tmp_path)
-    assert "numpy" in loaded and "scipy.fft" in loaded
-    assert "scipy.signal" not in loaded
+    assert "numpy" in loaded
+    assert not [m for m in loaded if m.startswith("scipy")]
 
 
-def test_eval_without_resampling_loads_no_scipy_signal(tmp_path):
-    wav, _ = write_clip_files(tmp_path, utt_id="clip")  # already at the 24 kHz mcep rate
-    ref = write_json(tmp_path / "ref.json", {"utterances": [{"utt_id": "clip", "audio": str(wav)}]})
-    argvs = [["eval", "--ref", ref, "--hyp", ref, "--output", "report.json"]]
-    assert "scipy.signal" not in loaded_modules(run_commands(argvs), tmp_path)
-    assert (tmp_path / "report.json").stat().st_size > 0
+# A meta-path finder that refuses scipy, as in an environment without it.
+_BLOCK_SCIPY = """import sys
+class _NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+sys.meta_path.insert(0, _NoScipy())
+"""
+
+
+def test_eval_and_pseudo_run_without_scipy(tmp_path):
+    wav, tg = write_clip_files(tmp_path, utt_id="clip")  # 24 kHz, the mcep rate
+    write_wav(resample(speech_clip()[0], 22050), tmp_path / "clip22.wav")
+    ref = write_json(tmp_path / "ref.json", {"utterances": [
+        {"utt_id": "clip", "audio": str(wav), "text": "song fan"}]})
+    hyp = write_json(tmp_path / "hyp.json", {"utterances": [
+        {"utt_id": "clip", "audio": str(tmp_path / "clip22.wav"), "text": "song fan"}]})
+    manifest = write_json(tmp_path / "manifest.json", {"utterances": [
+        {"utt_id": "clip", "audio": str(wav), "textgrid": str(tg)}]})
+    argvs = [["eval", "--ref", ref, "--hyp", hyp, "--output", "report.json"],
+             ["pseudo", "--manifest", manifest, "--output-dir", "out"]]
+    loaded = loaded_modules(_BLOCK_SCIPY + run_commands(argvs), tmp_path)
+    assert "numpy" in loaded
+    assert not [m for m in loaded if m.startswith("scipy")]
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["per_utterance"]["clip"]["wer"] == 0.0
+    for name in ("clip.wav", "clip.json", "summary.json"):
+        assert (tmp_path / "out" / name).stat().st_size > 0

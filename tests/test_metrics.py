@@ -20,7 +20,8 @@ from singprep import (
     vuv_error,
     wer,
 )
-from singprep.metrics import MCEP_HOP, MCEP_RATE, McepFrames, read_embedding
+from singprep.metrics import (_DCT_BASIS, _N_MELS, MCEP_HOP, MCEP_ORDER, MCEP_RATE,
+                              McepFrames, read_embedding)
 from singprep.dsp import F0Contour, Waveform, resample
 
 from helpers import SR, sine, speech_clip, voiced_segment
@@ -55,6 +56,14 @@ class TestMcep:
         b = mcep(Waveform(voiced_segment(0.5, 220.0, 220.0,
                                          [(600, 90)], seed=1), SR)).frames.mean(axis=0)
         assert np.abs(a - b).max() > 0.1
+
+
+    def test_cosine_basis_equals_scipy_dct(self):
+        from scipy.fft import dct
+
+        logmel = np.random.default_rng(4).uniform(-40.0, 5.0, (200, _N_MELS))
+        expected = dct(logmel, type=2, norm="ortho", axis=1)[:, 1:MCEP_ORDER + 1]
+        assert np.max(np.abs(logmel @ _DCT_BASIS.T - expected)) <= 1e-12
 
 
 class TestDtwAlign:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from singprep import InputError
-from singprep.dsp.pitch import periodic_hann
+from singprep.dsp.pitch import next_fast_len, periodic_hann
 from singprep.dsp import (
     F0Contour,
     Waveform,
@@ -170,3 +170,31 @@ def test_periodic_hann_equals_scipy(n):
     from scipy.signal.windows import hann
 
     assert np.array_equal(periodic_hann(n), hann(n, sym=False))
+
+
+def test_next_fast_len_equals_scipy():
+    from scipy.fft import next_fast_len as scipy_next_fast_len
+
+    assert [next_fast_len(n) for n in range(1, 20001)] == [
+        scipy_next_fast_len(n) for n in range(1, 20001)]
+
+
+# (transform length, input width) of every FFT the code runs: extract_f0's
+# cross-correlation at 16, 22.05, 24, 44.1 and 48 kHz (frames of width 2w and
+# w, zero-padded to next_fast_len(3w)), the vocoder at DEFAULT_FFT and twice
+# it, and mcep's 50 ms window at 24 kHz
+_FFT_SHAPES = [(750, 494), (750, 247), (1024, 680), (1024, 340), (1120, 740), (1120, 370),
+               (2048, 1358), (2048, 679), (2240, 1478), (2240, 739),
+               (1024, 1024), (2048, 1024), (1200, 1200)]
+
+
+@pytest.mark.parametrize("nfft, width", _FFT_SHAPES)
+def test_numpy_fft_equals_scipy_fft(nfft, width):
+    import scipy.fft
+
+    frames = np.random.default_rng(nfft + width).standard_normal((37, width))
+    spec = np.fft.rfft(frames, nfft, axis=1)
+    assert np.array_equal(spec, scipy.fft.rfft(frames, nfft, axis=1))
+    assert np.array_equal(np.fft.rfft(frames[0], nfft), scipy.fft.rfft(frames[0], nfft))
+    assert np.array_equal(np.fft.irfft(spec, nfft, axis=1), scipy.fft.irfft(spec, nfft, axis=1))
+    assert np.array_equal(np.fft.irfft(spec[0], nfft), scipy.fft.irfft(spec[0], nfft))
