@@ -15,9 +15,7 @@ from .vocoder import (
     AnalysisResult,
     analyze,
     band_edges,
-    load_analysis,
     replace_f0,
-    save_analysis,
     synthesize,
 )
 
@@ -31,13 +29,11 @@ __all__ = [
     "extract_f0",
     "frame_count",
     "hz_from_midi",
-    "load_analysis",
     "midi_from_hz",
     "nearest_midi",
     "read_wav",
     "replace_f0",
     "resample",
-    "save_analysis",
     "synthesize",
     "transpose_f0",
     "write_wav",

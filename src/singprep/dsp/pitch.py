@@ -5,6 +5,9 @@ the cumulative-mean-normalized difference function is searched for the first
 dip under a voicing threshold, refined by parabolic interpolation. Frames
 with no dip under the threshold (or with negligible energy) are unvoiced and
 carry the value 0.0.
+
+The search runs as array code over fixed blocks of _BLOCK frames, so the
+difference-function intermediates take the same memory for any clip length.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ DEFAULT_THRESHOLD = 0.35
 
 _SILENCE_POWER = 1e-10  # mean-square floor below which a frame is silent
 _SELECT_THRESHOLD = 0.1  # strict dip level for period-candidate selection
+_BLOCK = 512  # frames analyzed per array pass; bounds the per-call intermediates
 
 
 @dataclass(frozen=True)
@@ -111,62 +115,54 @@ def extract_f0(waveform: Waveform, hop: float = DEFAULT_HOP) -> F0Contour:
         )
     hop_samples = max(1, int(round(hop * sr)))
     n = frame_count(x.size, hop_samples)
-
-    frames = centered_frames(x, n, hop_samples, 2 * w)
-    half = frames[:, :w]
-
-    # difference function d(tau) = sum_j (x_j - x_{j+tau})^2 for tau in 0..w,
-    # via energies plus an FFT cross-correlation
+    all_frames = centered_frames(x, n, hop_samples, 2 * w)
     nfft = next_fast_len(3 * w)
-    spec_full = rfft(frames, nfft, axis=1)
-    spec_half = rfft(half, nfft, axis=1)
-    cross = irfft(spec_full * np.conj(spec_half), nfft, axis=1)[:, :w + 1]
-    csq = np.concatenate(
-        [np.zeros((n, 1)), np.cumsum(frames * frames, axis=1)], axis=1
-    )
-    e_fixed = csq[:, w] - csq[:, 0]
-    e_slide = csq[:, w:2 * w + 1] - csq[:, 0:w + 1]
-    diff = np.maximum(e_fixed[:, None] + e_slide - 2.0 * cross, 0.0)
-
-    # cumulative-mean normalization
-    cum = np.cumsum(diff[:, 1:], axis=1)
-    cmndf = np.ones_like(diff)
     taus = np.arange(1, w + 1, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cmndf[:, 1:] = np.where(cum > 0, diff[:, 1:] * taus / cum, 1.0)
-
     values = np.zeros(n)
-    silent = e_fixed / w < _SILENCE_POWER
-    for i in range(n):
-        if silent[i]:
-            continue
-        row = cmndf[i]
-        seg = row[lag_min:lag_max + 1]
-        is_min = (seg[1:-1] <= seg[:-2]) & (seg[1:-1] <= seg[2:])
-        mins = np.flatnonzero(is_min) + 1
-        if mins.size == 0:
-            continue
+    for b0 in range(0, n, _BLOCK):
+        frames = all_frames[b0:b0 + _BLOCK]
+        rows = np.arange(len(frames))
+
+        # difference function d(tau) = sum_j (x_j - x_{j+tau})^2 for tau in
+        # 0..w, via energies plus an FFT cross-correlation
+        spec_full = rfft(frames, nfft, axis=1)
+        spec_half = rfft(frames[:, :w], nfft, axis=1)
+        cross = irfft(spec_full * np.conj(spec_half), nfft, axis=1)[:, :w + 1]
+        csq = np.concatenate(
+            [np.zeros((len(frames), 1)), np.cumsum(frames * frames, axis=1)], axis=1
+        )
+        e_fixed = csq[:, w] - csq[:, 0]
+        e_slide = csq[:, w:2 * w + 1] - csq[:, 0:w + 1]
+        diff = np.maximum(e_fixed[:, None] + e_slide - 2.0 * cross, 0.0)
+
+        # cumulative-mean normalization
+        cum = np.cumsum(diff[:, 1:], axis=1)
+        cmndf = np.ones_like(diff)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cmndf[:, 1:] = np.where(cum > 0, diff[:, 1:] * taus / cum, 1.0)
+
+        # local minima of the searched lag range; silent frames have none
+        seg = cmndf[:, lag_min:lag_max + 1]
+        inner = seg[:, 1:-1]
+        is_min = (inner <= seg[:, :-2]) & (inner <= seg[:, 2:])
+        is_min &= (e_fixed / w >= _SILENCE_POWER)[:, None]
         # smallest lag dipping under the strict selection threshold wins;
         # otherwise the global minimum, preferring shorter lags on near-ties
         # so a subharmonic never shadows the true period
-        strict = mins[seg[mins] < _SELECT_THRESHOLD]
-        if strict.size:
-            tau = lag_min + int(strict[0])
-        else:
-            near = mins[seg[mins] <= float(np.min(seg[mins])) + 0.02]
-            tau = lag_min + int(near[0])
-        if row[tau] >= DEFAULT_THRESHOLD:
-            continue
+        strict = is_min & (inner < _SELECT_THRESHOLD)
+        lowest = np.min(np.where(is_min, inner, np.inf), axis=1)
+        near = is_min & (inner <= lowest[:, None] + 0.02)
+        pick = np.where(strict.any(axis=1), strict.argmax(axis=1), near.argmax(axis=1))
+        tau = lag_min + 1 + pick  # at most lag_max - 1, so tau + 1 <= w
+        a, b, c = cmndf[rows, tau - 1], cmndf[rows, tau], cmndf[rows, tau + 1]
+        voiced = is_min.any(axis=1) & (b < DEFAULT_THRESHOLD)
+
         # parabolic refinement on the normalized difference
-        if 1 <= tau < w:
-            a, b, c = row[tau - 1], row[tau], row[tau + 1]
-            denom = a - 2.0 * b + c
-            delta = 0.5 * (a - c) / denom if denom > 0 else 0.0
-            delta = float(np.clip(delta, -0.5, 0.5))
-        else:
-            delta = 0.0
-        f0 = sr / (tau + delta)
-        values[i] = min(max(f0, DEFAULT_FMIN), DEFAULT_FMAX)
+        denom = a - 2.0 * b + c
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = np.clip(np.where(denom > 0, 0.5 * (a - c) / denom, 0.0), -0.5, 0.5)
+        f0 = np.minimum(np.maximum(sr / (tau + delta), DEFAULT_FMIN), DEFAULT_FMAX)
+        values[b0:b0 + _BLOCK] = np.where(voiced, f0, 0.0)
     return F0Contour(values, hop)
 
 

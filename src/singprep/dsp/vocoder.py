@@ -5,20 +5,32 @@ spectral envelope (linear power at a fixed FFT size), and aperiodicity
 ratios in a few logarithmic bands (1 = noise, 0 = fully periodic).
 Synthesis drives the envelope filter with a pulse train plus noise mixed by
 the band aperiodicity, using weighted overlap-add.
+
+Both run as array code over fixed blocks of _BLOCK frames. Beyond the
+per-frame results themselves (the envelope and aperiodicity arrays, the
+excitation and the output signal), memory holds one block of intermediates,
+so it no longer grows with the frame count through per-frame spectra.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace as dc_replace
-from pathlib import Path
 
 import numpy as np
 from numpy.fft import irfft, rfft
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import InputError
 from .audio import Waveform
-from .pitch import DEFAULT_HOP, F0Contour, centered_frames, extract_f0, frame_count, periodic_hann
+from .pitch import (
+    _BLOCK,
+    DEFAULT_HOP,
+    F0Contour,
+    centered_frames,
+    extract_f0,
+    frame_count,
+    periodic_hann,
+)
 
 DEFAULT_FFT = 1024
 DEFAULT_BANDS = 5
@@ -83,58 +95,77 @@ def analyze(waveform: Waveform, hop: float = DEFAULT_HOP) -> AnalysisResult:
 
     win = periodic_hann(DEFAULT_FFT)
     wsum2 = float(np.sum(win * win))
-    frames = centered_frames(waveform.samples, n, hop_samples, DEFAULT_FFT) * win
-
-    # --- smoothed envelope ---
-    spec = np.abs(rfft(frames, DEFAULT_FFT, axis=1)) ** 2 / wsum2
-    spec = np.maximum(spec, _ENVELOPE_FLOOR)
+    all_frames = centered_frames(waveform.samples, n, hop_samples, DEFAULT_FFT)
     pitch = np.where(f0.voiced, f0.values, _UNVOICED_SMOOTH_HZ)
     # rectangular smoothing over one harmonic spacing fills the comb valleys,
     # otherwise the liftered envelope sags between harmonics and its formant
     # peaks drift
-    bin_hz = sr / DEFAULT_FFT
-    for i in range(n):
-        k = int(round(pitch[i] / bin_hz))
-        if k > 1:
-            row = np.pad(spec[i], (k, k), mode="reflect")
-            spec[i] = np.convolve(row, np.full(k, 1.0 / k), mode="same")[k:-k]
-    spec = np.maximum(spec, _ENVELOPE_FLOOR)
-    cepstrum = irfft(np.log(spec), DEFAULT_FFT, axis=1)
+    widths = np.rint(pitch / (sr / DEFAULT_FFT)).astype(int)
     cutoff = np.minimum(0.7 * sr / pitch, DEFAULT_FFT // 2 - 1).astype(int)
     q = np.arange(DEFAULT_FFT)
-    keep = (q[None, :] <= cutoff[:, None]) | (q[None, :] >= DEFAULT_FFT - cutoff[:, None])
-    envelope = np.exp(rfft(np.where(keep, cepstrum, 0.0), DEFAULT_FFT, axis=1).real)
-    envelope = np.maximum(envelope, _ENVELOPE_FLOOR)
 
-    # --- band aperiodicity ---
+    # band autocorrelation at lag tau of a power spectrum P over the zero-padded
+    # FFT: sum_j weight_j * P_j * cos(2 pi j tau / N) over the band's bins,
+    # with irfft's weights (1 at DC, 2 elsewhere, over N). Band b holds bins
+    # starts[b] up to the next start; the top band stops below Nyquist, and
+    # every band spans at least 64 bins.
     edges = band_edges(sr)
-    pad_fft = 2 * DEFAULT_FFT  # zero padding makes the FFT autocorrelation linear
-    padded_spec = np.abs(rfft(frames, pad_fft, axis=1)) ** 2
-    freqs = np.arange(pad_fft // 2 + 1) * sr / pad_fft
+    pad_fft = 2 * DEFAULT_FFT  # zero padding makes the autocorrelation linear
+    bins = np.arange(pad_fft // 2)
+    starts = np.searchsorted(bins * sr / pad_fft, edges[:-1])
+    weight = np.where(bins == 0, 1.0, 2.0) / pad_fft
+    cos_table = np.cos(2.0 * np.pi * np.arange(pad_fft) / pad_fft)
     win_acf = irfft(np.abs(rfft(win, pad_fft)) ** 2, pad_fft)
-
-    ap = np.ones((n, DEFAULT_BANDS))
     voiced_idx = np.flatnonzero(f0.voiced)
-    if voiced_idx.size:
-        lags = sr / f0.values[voiced_idx]  # fractional pitch-period lags
-        lag0 = np.floor(lags).astype(int)
-        frac = lags - lag0
-        wc0 = win_acf[lag0] + frac * (win_acf[lag0 + 1] - win_acf[lag0])
-        for b in range(DEFAULT_BANDS):
-            in_band = (freqs >= edges[b]) & (freqs < edges[b + 1])
-            if not np.any(in_band):
-                continue
-            band_spec = np.where(in_band[None, :], padded_spec[voiced_idx], 0.0)
-            acf = irfft(band_spec, pad_fft, axis=1)
-            r0 = acf[:, 0]
-            rows = np.arange(voiced_idx.size)
-            r_tau = acf[rows, lag0] + frac * (acf[rows, lag0 + 1] - acf[rows, lag0])
-            # window-corrected periodicity: a perfectly periodic band scores 1
-            corr = np.where(wc0 > 0, win_acf[0] / wc0, 0.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rho = np.where(r0 > 1e-12 * np.max(r0, initial=0.0) + 1e-300,
-                               r_tau / r0 * corr, 0.0)
-            ap[voiced_idx, b] = np.clip(1.0 - rho, 0.0, 1.0)
+    lags = sr / f0.values[voiced_idx]  # fractional pitch-period lags
+    lag0 = np.floor(lags).astype(int)
+    r0 = np.empty((voiced_idx.size, DEFAULT_BANDS))
+    r_lo = np.empty_like(r0)
+    r_hi = np.empty_like(r0)
+
+    envelope = np.empty((n, DEFAULT_FFT // 2 + 1))
+    for b0 in range(0, n, _BLOCK):
+        b1 = min(b0 + _BLOCK, n)
+        frames = all_frames[b0:b1] * win
+
+        # --- smoothed envelope ---
+        spec = np.abs(rfft(frames, DEFAULT_FFT, axis=1)) ** 2 / wsum2
+        spec = np.maximum(spec, _ENVELOPE_FLOOR)
+        k_blk = widths[b0:b1]
+        for k in np.unique(k_blk[k_blk > 1]):
+            rows = np.flatnonzero(k_blk == k)
+            padded = np.pad(spec[rows], ((0, 0), (k // 2, (k - 1) // 2)), mode="reflect")
+            spec[rows] = sliding_window_view(padded, k, axis=1) @ np.full(k, 1.0 / k)
+        spec = np.maximum(spec, _ENVELOPE_FLOOR)
+        cepstrum = irfft(np.log(spec), DEFAULT_FFT, axis=1)
+        cut = cutoff[b0:b1, None]
+        keep = (q[None, :] <= cut) | (q[None, :] >= DEFAULT_FFT - cut)
+        lifted = rfft(np.where(keep, cepstrum, 0.0), DEFAULT_FFT, axis=1).real
+        envelope[b0:b1] = np.maximum(np.exp(lifted), _ENVELOPE_FLOOR)
+
+        # --- band autocorrelation of the voiced frames at lags 0, lag0, lag0+1 ---
+        v0, v1 = np.searchsorted(voiced_idx, [b0, b1])
+        if v1 > v0:
+            voiced_frames = frames[voiced_idx[v0:v1] - b0]
+            power = np.abs(rfft(voiced_frames, pad_fft, axis=1)[:, :pad_fft // 2]) ** 2 * weight
+            tau = lag0[v0:v1, None]
+            r0[v0:v1] = np.add.reduceat(power, starts, axis=1)
+            for r_lag, lag in ((r_lo, tau), (r_hi, tau + 1)):
+                r_lag[v0:v1] = np.add.reduceat(
+                    power * cos_table[bins * lag % pad_fft], starts, axis=1)
+
+    # the silence floor of each band is relative to its loudest voiced frame
+    # in the clip, so periodicity waits for the last block
+    frac = (lags - lag0)[:, None]
+    r_tau = r_lo + frac * (r_hi - r_lo)
+    wc0 = win_acf[lag0] + frac[:, 0] * (win_acf[lag0 + 1] - win_acf[lag0])
+    # window-corrected periodicity: a perfectly periodic band scores 1
+    corr = np.where(wc0 > 0, win_acf[0] / wc0, 0.0)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.where(r0 > 1e-12 * np.max(r0, axis=0, initial=0.0) + 1e-300,
+                       r_tau / r0 * corr, 0.0)
+    ap = np.ones((n, DEFAULT_BANDS))
+    ap[voiced_idx] = np.clip(1.0 - rho, 0.0, 1.0)
     return AnalysisResult(f0, envelope, ap, sr, DEFAULT_FFT, edges)
 
 
@@ -149,13 +180,30 @@ def replace_f0(analysis: AnalysisResult, target: F0Contour) -> AnalysisResult:
     return dc_replace(analysis, f0=target)
 
 
-def _ap_per_bin(ap_row: np.ndarray, freqs: np.ndarray, edges: tuple[float, ...]) -> np.ndarray:
-    out = np.empty_like(freqs)
-    for b in range(len(edges) - 1):
-        mask = (freqs >= edges[b]) & (freqs < edges[b + 1])
-        out[mask] = ap_row[b]
-    out[freqs >= edges[-1]] = ap_row[-1]
-    return out
+def _pulse_train(f0: np.ndarray, hop: int, sr: int) -> np.ndarray:
+    """Pulse excitation with unit average power at sample rate sr for a
+    frame-rate F0 track: impulses of height sqrt(period), placed at their
+    exact fractional crossing times by linear splitting so sample
+    quantization never jitters the period."""
+    length = f0.size * hop
+    f0_samp = np.repeat(f0, hop)[:length]
+    voiced = f0_samp > 0
+    phase = np.cumsum(np.where(voiced, f0_samp, 0.0) / sr)
+    ticks = np.floor(phase)
+    fired = np.diff(np.concatenate([[0.0], ticks])) >= 1.0
+    fired &= voiced
+    pulses = np.zeros(length + 1)
+    idx = np.flatnonzero(fired)
+    if idx.size:
+        prev_phase = np.where(idx > 0, phase[np.maximum(idx - 1, 0)], 0.0)
+        frac_t = (ticks[idx] - prev_phase) / np.maximum(phase[idx] - prev_phase, 1e-300)
+        pos = idx - 1 + np.clip(frac_t, 0.0, 1.0)
+        j = np.clip(np.floor(pos).astype(int), 0, length - 1)
+        f = np.clip(pos - j, 0.0, 1.0)
+        amp = np.sqrt(sr / f0_samp[idx])
+        np.add.at(pulses, j, amp * (1.0 - f))
+        np.add.at(pulses, j + 1, amp * f)
+    return pulses[:length]
 
 
 def synthesize(analysis: AnalysisResult, rng: np.random.Generator | None = None) -> Waveform:
@@ -173,104 +221,45 @@ def synthesize(analysis: AnalysisResult, rng: np.random.Generator | None = None)
     hop = max(1, int(round(analysis.f0.hop * sr)))
     length = n * hop
 
-    f0_samp = np.repeat(analysis.f0.values, hop)[:length]
-    voiced = f0_samp > 0
-
-    # pulse excitation with unit average power: impulses of height sqrt(period),
-    # placed at their exact fractional crossing times by linear splitting so
-    # sample quantization never jitters the period
-    phase = np.cumsum(np.where(voiced, f0_samp, 0.0) / sr)
-    ticks = np.floor(phase)
-    fired = np.diff(np.concatenate([[0.0], ticks])) >= 1.0
-    fired &= voiced
-    pulses = np.zeros(length + 1)
-    idx = np.flatnonzero(fired)
-    if idx.size:
-        prev_phase = np.where(idx > 0, phase[np.maximum(idx - 1, 0)], 0.0)
-        frac_t = (ticks[idx] - prev_phase) / np.maximum(phase[idx] - prev_phase, 1e-300)
-        pos = idx - 1 + np.clip(frac_t, 0.0, 1.0)
-        j = np.clip(np.floor(pos).astype(int), 0, length - 1)
-        f = np.clip(pos - j, 0.0, 1.0)
-        amp = np.sqrt(sr / f0_samp[idx])
-        np.add.at(pulses, j, amp * (1.0 - f))
-        np.add.at(pulses, j + 1, amp * f)
-    pulses = pulses[:length]
+    pulses = _pulse_train(analysis.f0.values, hop, sr)
     noise = rng.standard_normal(length)
 
     win = periodic_hann(fft_size)
     freqs = np.arange(fft_size // 2 + 1) * sr / fft_size
-    amp = np.sqrt(analysis.envelope)
+    # band of each bin; bins at or above the top edge take the top band
+    band_of_bin = np.minimum(np.searchsorted(analysis.edges, freqs, side="right") - 1,
+                             len(analysis.edges) - 2)
     half = fft_size // 2
+    pulse_frames = centered_frames(pulses, n, hop, fft_size)
+    noise_frames = centered_frames(noise, n, hop, fft_size)
 
-    pulse_frames = centered_frames(pulses, n, hop, fft_size) * win
-    noise_frames = centered_frames(noise, n, hop, fft_size) * win
-    spec_p = rfft(pulse_frames, fft_size, axis=1)
-    spec_n = rfft(noise_frames, fft_size, axis=1)
-
-    out = np.zeros(length + fft_size)
-    norm = np.zeros(length + fft_size)
-    win_sq = win * win
-    for i in range(n):
-        ap_bins = _ap_per_bin(analysis.aperiodicity[i], freqs, analysis.edges)
-        shaped = spec_p[i] * amp[i] * np.sqrt(1.0 - ap_bins) \
-            + spec_n[i] * amp[i] * np.sqrt(ap_bins)
-        seg = irfft(shaped, fft_size)
-        start = i * hop
-        out[start:start + fft_size] += seg * win
-        norm[start:start + fft_size] += win_sq
+    # weighted overlap-add in hop-sized chunks: frame i puts its chunk c at
+    # output chunk i + c. Adding chunk offsets in descending order adds each
+    # output sample's frames in ascending frame order, block after block.
+    n_chunks = -(-fft_size // hop)
+    span = n_chunks * hop
+    out = np.zeros((n + n_chunks, hop))
+    norm = np.zeros((n + n_chunks, hop))
+    win_sq = np.pad(win * win, (0, span - fft_size)).reshape(n_chunks, hop)
+    for c in range(n_chunks - 1, -1, -1):
+        norm[c:c + n] += win_sq[c]
+    for b0 in range(0, n, _BLOCK):
+        b1 = min(b0 + _BLOCK, n)
+        spec_p = rfft(pulse_frames[b0:b1] * win, fft_size, axis=1)
+        spec_n = rfft(noise_frames[b0:b1] * win, fft_size, axis=1)
+        amp = np.sqrt(analysis.envelope[b0:b1])
+        ap_bins = analysis.aperiodicity[b0:b1][:, band_of_bin]
+        shaped = spec_p * amp * np.sqrt(1.0 - ap_bins) + spec_n * amp * np.sqrt(ap_bins)
+        segs = np.zeros((b1 - b0, span))
+        segs[:, :fft_size] = irfft(shaped, fft_size, axis=1) * win
+        segs = segs.reshape(b1 - b0, n_chunks, hop)
+        for c in range(n_chunks - 1, -1, -1):
+            out[b0 + c:b1 + c] += segs[:, c]
+    out = out.reshape(-1)
+    norm = norm.reshape(-1)
     y = out[half:half + length] / np.maximum(norm[half:half + length], 1e-8)
 
     peak = float(np.max(np.abs(y))) if y.size else 0.0
     if peak > 1.0:
         y = y * (0.99 / peak)
     return Waveform(y, sr)
-
-
-# -- binary container --------------------------------------------------------
-# Little-endian layout: magic "SFA1", u16 version, u16 reserved, u32 n_frames,
-# u32 n_bins, u32 n_bands, u32 sample_rate, u32 fft_size, f64 hop, then the
-# arrays as float64: f0[n], envelope[n*n_bins], aperiodicity[n*n_bands],
-# band_edges[n_bands+1].
-
-_MAGIC = b"SFA1"
-_HEADER = struct.Struct("<4sHHIIIIId")
-_VERSION = 1
-
-
-def save_analysis(analysis: AnalysisResult, path) -> None:
-    n = analysis.n_frames
-    n_bins = analysis.fft_size // 2 + 1
-    n_bands = len(analysis.edges) - 1
-    header = _HEADER.pack(
-        _MAGIC, _VERSION, 0, n, n_bins, n_bands,
-        analysis.sample_rate, analysis.fft_size, analysis.f0.hop,
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(analysis.f0.values.astype("<f8").tobytes())
-        fh.write(analysis.envelope.astype("<f8").tobytes())
-        fh.write(analysis.aperiodicity.astype("<f8").tobytes())
-        fh.write(np.asarray(analysis.edges, dtype="<f8").tobytes())
-
-
-def load_analysis(path) -> AnalysisResult:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise InputError(f"{path}: truncated analysis container")
-    magic, version, _, n, n_bins, n_bands, sr, fft_size, hop = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise InputError(f"{path}: not an analysis container")
-    if version != _VERSION:
-        raise InputError(f"{path}: unsupported container version {version}")
-    need = _HEADER.size + 8 * (n + n * n_bins + n * n_bands + n_bands + 1)
-    if len(raw) != need:
-        raise InputError(f"{path}: container size {len(raw)} != expected {need}")
-    off = _HEADER.size
-    f0 = np.frombuffer(raw, "<f8", n, off).copy()
-    off += 8 * n
-    env = np.frombuffer(raw, "<f8", n * n_bins, off).reshape(n, n_bins).copy()
-    off += 8 * n * n_bins
-    ap = np.frombuffer(raw, "<f8", n * n_bands, off).reshape(n, n_bands).copy()
-    off += 8 * n * n_bands
-    edges = tuple(np.frombuffer(raw, "<f8", n_bands + 1, off))
-    return AnalysisResult(F0Contour(f0, hop), env, ap, sr, fft_size, edges)

@@ -65,6 +65,8 @@ class ScoreEvent:
     def __post_init__(self):
         if not (math.isfinite(self.note_dur) and self.note_dur > 0):
             raise InputError(f"note_dur must be positive and finite, got {self.note_dur}")
+        if not 0 <= self.note_midi <= 127:
+            raise InputError(f"note_midi must be a MIDI note in 0..127, got {self.note_midi}")
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,43 @@ exponential or memoized-recursive and only usable on tiny inputs.
 
 Frozen oracles are verbatim copies of scalar package functions as they stood
 before those were vectorized. The vectorized code must agree with them
-exactly (identical outputs, ``==`` not approx), on any input size.
+exactly (identical outputs, ``==`` not approx), on any input size, with one
+exception: ``analyze`` sums its smoothing windows and band autocorrelations
+in a different order, so its envelope agrees within 1e-9 relative error and
+its aperiodicity within 1e-9 absolute error (its F0 is still identical).
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
+from numpy.fft import irfft, rfft
 
+from singprep.dsp.audio import Waveform
+from singprep.dsp.pitch import (
+    _SELECT_THRESHOLD,
+    _SILENCE_POWER,
+    DEFAULT_FMAX,
+    DEFAULT_FMIN,
+    DEFAULT_HOP,
+    DEFAULT_THRESHOLD,
+    F0Contour,
+    centered_frames,
+    frame_count,
+    next_fast_len,
+    periodic_hann,
+)
+from singprep.dsp.vocoder import (
+    _ENVELOPE_FLOOR,
+    _UNVOICED_SMOOTH_HZ,
+    DEFAULT_BANDS,
+    DEFAULT_FFT,
+    AnalysisResult,
+    band_edges,
+)
 from singprep.errors import InputError, ParseError
 
 
@@ -155,3 +182,237 @@ def textgrid_scan_oracle(text: str) -> Iterator[tuple[str, object]]:
                 yield ("num", float(word))
             except ValueError:
                 continue  # long-form decoration
+
+
+# -- frozen per-frame vocoder and pitch loops ----------------------------------
+
+
+def extract_f0_oracle(waveform: Waveform, hop: float = DEFAULT_HOP) -> F0Contour:
+    """Estimate the F0 contour of a mono waveform in DEFAULT_FMIN..DEFAULT_FMAX Hz.
+
+    Requires sample_rate >= 4*DEFAULT_FMAX and at least two analysis windows
+    of audio (the integration window is one maximum pitch period).
+    """
+    sr = waveform.sample_rate
+    if sr < 4 * DEFAULT_FMAX:
+        raise InputError(
+            f"sample rate {sr} too low for fmax {DEFAULT_FMAX} (need >= {4 * DEFAULT_FMAX:.0f})"
+        )
+    x = waveform.samples
+    lag_min = max(2, int(sr / DEFAULT_FMAX))
+    lag_max = int(math.ceil(sr / DEFAULT_FMIN))
+    w = lag_max  # integration window: one maximum period
+    if x.size < 2 * w:
+        raise InputError(
+            f"waveform too short for F0 analysis: {x.size} samples < two "
+            f"{w}-sample windows"
+        )
+    hop_samples = max(1, int(round(hop * sr)))
+    n = frame_count(x.size, hop_samples)
+
+    frames = centered_frames(x, n, hop_samples, 2 * w)
+    half = frames[:, :w]
+
+    # difference function d(tau) = sum_j (x_j - x_{j+tau})^2 for tau in 0..w,
+    # via energies plus an FFT cross-correlation
+    nfft = next_fast_len(3 * w)
+    spec_full = rfft(frames, nfft, axis=1)
+    spec_half = rfft(half, nfft, axis=1)
+    cross = irfft(spec_full * np.conj(spec_half), nfft, axis=1)[:, :w + 1]
+    csq = np.concatenate(
+        [np.zeros((n, 1)), np.cumsum(frames * frames, axis=1)], axis=1
+    )
+    e_fixed = csq[:, w] - csq[:, 0]
+    e_slide = csq[:, w:2 * w + 1] - csq[:, 0:w + 1]
+    diff = np.maximum(e_fixed[:, None] + e_slide - 2.0 * cross, 0.0)
+
+    # cumulative-mean normalization
+    cum = np.cumsum(diff[:, 1:], axis=1)
+    cmndf = np.ones_like(diff)
+    taus = np.arange(1, w + 1, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cmndf[:, 1:] = np.where(cum > 0, diff[:, 1:] * taus / cum, 1.0)
+
+    values = np.zeros(n)
+    silent = e_fixed / w < _SILENCE_POWER
+    for i in range(n):
+        if silent[i]:
+            continue
+        row = cmndf[i]
+        seg = row[lag_min:lag_max + 1]
+        is_min = (seg[1:-1] <= seg[:-2]) & (seg[1:-1] <= seg[2:])
+        mins = np.flatnonzero(is_min) + 1
+        if mins.size == 0:
+            continue
+        # smallest lag dipping under the strict selection threshold wins;
+        # otherwise the global minimum, preferring shorter lags on near-ties
+        # so a subharmonic never shadows the true period
+        strict = mins[seg[mins] < _SELECT_THRESHOLD]
+        if strict.size:
+            tau = lag_min + int(strict[0])
+        else:
+            near = mins[seg[mins] <= float(np.min(seg[mins])) + 0.02]
+            tau = lag_min + int(near[0])
+        if row[tau] >= DEFAULT_THRESHOLD:
+            continue
+        # parabolic refinement on the normalized difference
+        if 1 <= tau < w:
+            a, b, c = row[tau - 1], row[tau], row[tau + 1]
+            denom = a - 2.0 * b + c
+            delta = 0.5 * (a - c) / denom if denom > 0 else 0.0
+            delta = float(np.clip(delta, -0.5, 0.5))
+        else:
+            delta = 0.0
+        f0 = sr / (tau + delta)
+        values[i] = min(max(f0, DEFAULT_FMIN), DEFAULT_FMAX)
+    return F0Contour(values, hop)
+
+
+def analyze_oracle(waveform: Waveform, hop: float = DEFAULT_HOP) -> AnalysisResult:
+    """Full source-filter analysis at a fixed frame hop and DEFAULT_FFT size.
+
+    The envelope is the short-time power spectrum smoothed by cepstral
+    liftering below the pitch period, which strips harmonic ripple and keeps
+    formant structure. Aperiodicity per band is 1 minus the band-limited
+    normalized autocorrelation at the pitch period (window-corrected);
+    unvoiced frames are fully aperiodic.
+    """
+    sr = waveform.sample_rate
+    f0 = extract_f0_oracle(waveform, hop=hop)
+    hop_samples = max(1, int(round(hop * sr)))
+    n = frame_count(len(waveform), hop_samples)
+    if n != len(f0):
+        raise InputError("frame count mismatch between F0 and spectral analysis")
+
+    win = periodic_hann(DEFAULT_FFT)
+    wsum2 = float(np.sum(win * win))
+    frames = centered_frames(waveform.samples, n, hop_samples, DEFAULT_FFT) * win
+
+    # --- smoothed envelope ---
+    spec = np.abs(rfft(frames, DEFAULT_FFT, axis=1)) ** 2 / wsum2
+    spec = np.maximum(spec, _ENVELOPE_FLOOR)
+    pitch = np.where(f0.voiced, f0.values, _UNVOICED_SMOOTH_HZ)
+    # rectangular smoothing over one harmonic spacing fills the comb valleys,
+    # otherwise the liftered envelope sags between harmonics and its formant
+    # peaks drift
+    bin_hz = sr / DEFAULT_FFT
+    for i in range(n):
+        k = int(round(pitch[i] / bin_hz))
+        if k > 1:
+            row = np.pad(spec[i], (k, k), mode="reflect")
+            spec[i] = np.convolve(row, np.full(k, 1.0 / k), mode="same")[k:-k]
+    spec = np.maximum(spec, _ENVELOPE_FLOOR)
+    cepstrum = irfft(np.log(spec), DEFAULT_FFT, axis=1)
+    cutoff = np.minimum(0.7 * sr / pitch, DEFAULT_FFT // 2 - 1).astype(int)
+    q = np.arange(DEFAULT_FFT)
+    keep = (q[None, :] <= cutoff[:, None]) | (q[None, :] >= DEFAULT_FFT - cutoff[:, None])
+    envelope = np.exp(rfft(np.where(keep, cepstrum, 0.0), DEFAULT_FFT, axis=1).real)
+    envelope = np.maximum(envelope, _ENVELOPE_FLOOR)
+
+    # --- band aperiodicity ---
+    edges = band_edges(sr)
+    pad_fft = 2 * DEFAULT_FFT  # zero padding makes the FFT autocorrelation linear
+    padded_spec = np.abs(rfft(frames, pad_fft, axis=1)) ** 2
+    freqs = np.arange(pad_fft // 2 + 1) * sr / pad_fft
+    win_acf = irfft(np.abs(rfft(win, pad_fft)) ** 2, pad_fft)
+
+    ap = np.ones((n, DEFAULT_BANDS))
+    voiced_idx = np.flatnonzero(f0.voiced)
+    if voiced_idx.size:
+        lags = sr / f0.values[voiced_idx]  # fractional pitch-period lags
+        lag0 = np.floor(lags).astype(int)
+        frac = lags - lag0
+        wc0 = win_acf[lag0] + frac * (win_acf[lag0 + 1] - win_acf[lag0])
+        for b in range(DEFAULT_BANDS):
+            in_band = (freqs >= edges[b]) & (freqs < edges[b + 1])
+            if not np.any(in_band):
+                continue
+            band_spec = np.where(in_band[None, :], padded_spec[voiced_idx], 0.0)
+            acf = irfft(band_spec, pad_fft, axis=1)
+            r0 = acf[:, 0]
+            rows = np.arange(voiced_idx.size)
+            r_tau = acf[rows, lag0] + frac * (acf[rows, lag0 + 1] - acf[rows, lag0])
+            # window-corrected periodicity: a perfectly periodic band scores 1
+            corr = np.where(wc0 > 0, win_acf[0] / wc0, 0.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rho = np.where(r0 > 1e-12 * np.max(r0, initial=0.0) + 1e-300,
+                               r_tau / r0 * corr, 0.0)
+            ap[voiced_idx, b] = np.clip(1.0 - rho, 0.0, 1.0)
+    return AnalysisResult(f0, envelope, ap, sr, DEFAULT_FFT, edges)
+
+
+def _ap_per_bin_oracle(ap_row: np.ndarray, freqs: np.ndarray, edges: tuple[float, ...]) -> np.ndarray:
+    out = np.empty_like(freqs)
+    for b in range(len(edges) - 1):
+        mask = (freqs >= edges[b]) & (freqs < edges[b + 1])
+        out[mask] = ap_row[b]
+    out[freqs >= edges[-1]] = ap_row[-1]
+    return out
+
+
+def synthesize_oracle(analysis: AnalysisResult, rng: np.random.Generator | None = None) -> Waveform:
+    """Render audio from an analysis: filtered pulse train plus shaped noise.
+
+    Deterministic for a given rng seed (the noise source is the only
+    randomness). Output length is n_frames * hop within one frame.
+    """
+    if analysis.n_frames == 0:
+        raise InputError("cannot synthesize from a zero-frame analysis")
+    sr = analysis.sample_rate
+    rng = np.random.default_rng(0) if rng is None else rng
+    n = analysis.n_frames
+    fft_size = analysis.fft_size
+    hop = max(1, int(round(analysis.f0.hop * sr)))
+    length = n * hop
+
+    f0_samp = np.repeat(analysis.f0.values, hop)[:length]
+    voiced = f0_samp > 0
+
+    # pulse excitation with unit average power: impulses of height sqrt(period),
+    # placed at their exact fractional crossing times by linear splitting so
+    # sample quantization never jitters the period
+    phase = np.cumsum(np.where(voiced, f0_samp, 0.0) / sr)
+    ticks = np.floor(phase)
+    fired = np.diff(np.concatenate([[0.0], ticks])) >= 1.0
+    fired &= voiced
+    pulses = np.zeros(length + 1)
+    idx = np.flatnonzero(fired)
+    if idx.size:
+        prev_phase = np.where(idx > 0, phase[np.maximum(idx - 1, 0)], 0.0)
+        frac_t = (ticks[idx] - prev_phase) / np.maximum(phase[idx] - prev_phase, 1e-300)
+        pos = idx - 1 + np.clip(frac_t, 0.0, 1.0)
+        j = np.clip(np.floor(pos).astype(int), 0, length - 1)
+        f = np.clip(pos - j, 0.0, 1.0)
+        amp = np.sqrt(sr / f0_samp[idx])
+        np.add.at(pulses, j, amp * (1.0 - f))
+        np.add.at(pulses, j + 1, amp * f)
+    pulses = pulses[:length]
+    noise = rng.standard_normal(length)
+
+    win = periodic_hann(fft_size)
+    freqs = np.arange(fft_size // 2 + 1) * sr / fft_size
+    amp = np.sqrt(analysis.envelope)
+    half = fft_size // 2
+
+    pulse_frames = centered_frames(pulses, n, hop, fft_size) * win
+    noise_frames = centered_frames(noise, n, hop, fft_size) * win
+    spec_p = rfft(pulse_frames, fft_size, axis=1)
+    spec_n = rfft(noise_frames, fft_size, axis=1)
+
+    out = np.zeros(length + fft_size)
+    norm = np.zeros(length + fft_size)
+    win_sq = win * win
+    for i in range(n):
+        ap_bins = _ap_per_bin_oracle(analysis.aperiodicity[i], freqs, analysis.edges)
+        shaped = spec_p[i] * amp[i] * np.sqrt(1.0 - ap_bins) \
+            + spec_n[i] * amp[i] * np.sqrt(ap_bins)
+        seg = irfft(shaped, fft_size)
+        start = i * hop
+        out[start:start + fft_size] += seg * win
+        norm[start:start + fft_size] += win_sq
+    y = out[half:half + length] / np.maximum(norm[half:half + length], 1e-8)
+
+    peak = float(np.max(np.abs(y))) if y.size else 0.0
+    if peak > 1.0:
+        y = y * (0.99 / peak)
+    return Waveform(y, sr)

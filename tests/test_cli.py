@@ -162,6 +162,9 @@ class TestTranscode:
         {"lyric": "cat", "note": "61", "dur": 0.4},
         {"lyric": "cat", "note": 64, "dur": "0.5"},
         {"lyric": "cat", "note": float("inf"), "dur": 0.4},
+        {"lyric": "cat", "note": 200, "dur": 0.5},
+        {"lyric": "cat", "note": -5, "dur": 0.5},
+        {"lyric": "cat", "note": 1e30, "dur": 0.5},
     ])
     def test_malformed_event_fails_naming_it(self, tmp_path, caplog, event):
         score = write_json(tmp_path / "score.json", {"events": [

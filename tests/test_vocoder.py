@@ -1,7 +1,12 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.signal import find_peaks, lfilter
 
 from singprep import InputError
@@ -11,14 +16,16 @@ from singprep.dsp import (
     analyze,
     band_edges,
     extract_f0,
-    load_analysis,
     midi_from_hz,
     replace_f0,
-    save_analysis,
     synthesize,
+    vocoder,
+    write_wav,
 )
+from singprep.dsp.pitch import _BLOCK
 
-from helpers import SR, pulse_train, sine, speech_clip
+from helpers import SR, pulse_train, sine, speech_clip, voiced_segment
+from oracles import analyze_oracle, extract_f0_oracle, synthesize_oracle
 
 
 def formant_fixture():
@@ -167,48 +174,6 @@ class TestSynthesize:
         assert abs(offset) < 0.2
 
 
-class TestContainer:
-    def test_save_load_round_trip_exact(self, tmp_path):
-        wave, _, _ = speech_clip()
-        res = analyze(wave)
-        p = tmp_path / "a.sfa"
-        save_analysis(res, p)
-        back = load_analysis(p)
-        assert np.array_equal(back.f0.values, res.f0.values)
-        assert back.f0.hop == res.f0.hop
-        assert np.array_equal(back.envelope, res.envelope)
-        assert np.array_equal(back.aperiodicity, res.aperiodicity)
-        assert back.sample_rate == res.sample_rate
-        assert back.fft_size == res.fft_size
-        assert back.edges == res.edges
-
-    def test_bad_magic_rejected(self, tmp_path):
-        res = analyze(sine(220.0, 0.3))
-        p = tmp_path / "a.sfa"
-        save_analysis(res, p)
-        data = bytearray(p.read_bytes())
-        data[0] ^= 0xFF
-        p.write_bytes(bytes(data))
-        with pytest.raises(InputError):
-            load_analysis(p)
-
-    def test_truncated_rejected(self, tmp_path):
-        res = analyze(sine(220.0, 0.3))
-        p = tmp_path / "a.sfa"
-        save_analysis(res, p)
-        p.write_bytes(p.read_bytes()[:40])
-        with pytest.raises(InputError):
-            load_analysis(p)
-
-    def test_synthesis_from_loaded_analysis_identical(self, tmp_path):
-        res = analyze(sine(220.0, 0.3))
-        p = tmp_path / "a.sfa"
-        save_analysis(res, p)
-        a = synthesize(res, rng=np.random.default_rng(3))
-        b = synthesize(load_analysis(p), rng=np.random.default_rng(3))
-        assert np.array_equal(a.samples, b.samples)
-
-
 class TestAnalysisResultValidation:
     def test_envelope_frame_mismatch_rejected(self):
         res = analyze(sine(220.0, 0.3))
@@ -221,3 +186,114 @@ class TestAnalysisResultValidation:
         bad[0, 0] = 1.5
         with pytest.raises(InputError):
             dataclasses.replace(res, aperiodicity=bad)
+
+
+def test_analyze_calls_extract_f0_through_vocoder_module(monkeypatch):
+    # the benchmark's traced pass wraps singprep.dsp.vocoder.extract_f0 and
+    # must see the F0 layer inside analyze
+    seen = []
+    real = vocoder.extract_f0
+
+    def spy(waveform, hop):
+        seen.append(hop)
+        return real(waveform, hop=hop)
+
+    monkeypatch.setattr(vocoder, "extract_f0", spy)
+    res = analyze(sine(220.0, 0.3), hop=0.01)
+    assert seen == [0.01]
+    assert res.f0.hop == 0.01
+
+
+# -- blocked array code against the frozen per-frame loops --------------------
+
+HOP_SAMPLES = 120  # the default 5 ms hop at SR
+
+
+def _frames_of(n_frames: int) -> Waveform:
+    """The speech clip tiled to exactly n_frames analysis frames."""
+    wave, _, _ = speech_clip()
+    return Waveform(np.resize(wave.samples, (n_frames - 1) * HOP_SAMPLES + 1), SR)
+
+
+ORACLE_CLIPS = {
+    "below_one_block": lambda: speech_clip()[0],
+    "one_block": lambda: _frames_of(_BLOCK),
+    "one_past_a_block": lambda: _frames_of(_BLOCK + 1),
+    "noise": lambda: Waveform(0.3 * np.random.default_rng(7).standard_normal(SR), SR),
+    "digital_silence": lambda: Waveform(np.zeros(SR // 2), SR),
+    # a tone under the F0 silence floor, then the same tone well above it
+    "tone_below_silence_floor": lambda: Waveform(np.concatenate(
+        [1e-6 * sine(220.0, 0.3).samples, sine(220.0, 0.3).samples]), SR),
+    "voiced_glide": lambda: Waveform(
+        0.8 * voiced_segment(3.2, 70.0, 700.0, [(600, 90), (1400, 140)]), SR),
+}
+
+
+def assert_matches_oracles(wave: Waveform):
+    f0 = extract_f0(wave)
+    assert np.array_equal(f0.values, extract_f0_oracle(wave).values)
+
+    got, want = analyze(wave), analyze_oracle(wave)
+    assert np.array_equal(got.f0.values, want.f0.values)
+    assert np.max(np.abs(got.envelope - want.envelope) / want.envelope) <= 1e-9
+    assert np.max(np.abs(got.aperiodicity - want.aperiodicity)) <= 1e-9
+
+    out = synthesize(want, rng=np.random.default_rng(3))
+    ref = synthesize_oracle(want, rng=np.random.default_rng(3))
+    assert np.array_equal(out.samples, ref.samples)
+
+
+class TestFrozenOracles:
+    @pytest.mark.parametrize("name", sorted(ORACLE_CLIPS))
+    def test_clip_matches_oracles(self, name):
+        assert_matches_oracles(ORACLE_CLIPS[name]())
+
+    def test_block_boundary_clips_have_the_intended_frame_counts(self):
+        assert [len(extract_f0(ORACLE_CLIPS[k]())) for k in
+                ("one_block", "one_past_a_block")] == [_BLOCK, _BLOCK + 1]
+
+    def test_coverage_clips_voicing(self):
+        assert not np.any(extract_f0(ORACLE_CLIPS["digital_silence"]()).voiced)
+        quiet_then_loud = extract_f0(ORACLE_CLIPS["tone_below_silence_floor"]()).voiced
+        assert not np.any(quiet_then_loud[:50]) and np.all(quiet_then_loud[-50:])
+        assert extract_f0(ORACLE_CLIPS["noise"]()).voiced.mean() < 0.1
+        assert extract_f0(ORACLE_CLIPS["voiced_glide"]()).voiced.mean() > 0.9
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n_samples=st.integers(2 * 370, 6000),  # from two 370-sample F0 windows
+        freq=st.floats(60.0, 1100.0),
+        noise=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_short_random_clips_match_oracles(self, n_samples, freq, noise, seed):
+        t = np.arange(n_samples) / SR
+        rng = np.random.default_rng(seed)
+        x = 0.5 * np.sin(2 * np.pi * freq * t) + noise * rng.standard_normal(n_samples)
+        assert_matches_oracles(Waveform(x, SR))
+
+
+_RSS_SCRIPT = """
+import sys
+import numpy as np
+from singprep.dsp import analyze, read_wav, synthesize
+synthesize(analyze(read_wav(sys.argv[1])), rng=np.random.default_rng(0))
+print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc")
+def test_long_clip_memory_is_bounded(tmp_path):
+    # 60 s of audio: the per-frame loops held every frame's spectra at once
+    # and peaked near 840 MB; blocked processing needs about 200 MB.
+    # VmHWM is the peak resident set of the child's own image: ru_maxrss
+    # would also carry over the peak of the test process it was forked from.
+    wave, _, _ = speech_clip()
+    path = tmp_path / "long.wav"
+    write_wav(Waveform(np.resize(wave.samples, 60 * SR), SR), path)
+    src = str(Path(vocoder.__file__).parents[2])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", _RSS_SCRIPT, str(path)],
+                          capture_output=True, text=True, env=env, check=True)
+    assert int(done.stdout) / 1024 <= 300  # VmHWM is in kB
