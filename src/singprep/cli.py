@@ -20,8 +20,8 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
-from .annotation import (AnnotationRecord, dumps_manifest, read_manifest, write_annotation,
-                          write_manifest)
+from .annotation import (AnnotationRecord, dumps_document, dumps_manifest, read_manifest,
+                          write_annotation, write_manifest)
 from .config import STRATEGIES, PipelineConfig, resolve_config
 from .errors import InputError, ParseError, ValidationError
 from .lexicon import (ENGLISH, MANDARIN, Lexicon, LyricToken, default_lexicon, g2p,
@@ -184,7 +184,7 @@ def _score_events(path) -> list[ScoreEvent]:
 def cmd_transcode(args, cfg: PipelineConfig) -> int:
     lexicon = _build_lexicon(cfg)
     result = transform_score(_score_events(args.score), lexicon)
-    _write_text(json.dumps(result.to_dict(), ensure_ascii=False, indent=2) + "\n", args.output)
+    _write_text(dumps_document(result.to_dict()), args.output)
     return EXIT_OK
 
 
@@ -259,6 +259,9 @@ def cmd_adapt(args, cfg: PipelineConfig) -> int:
         sys.stdout.write(dumps_manifest(adapted))
     else:
         write_manifest(adapted, args.output)
+    if ratios is not None:
+        for unit, events in sorted(ratios.misses.items()):
+            log.warning("no ratio for unit %r in %d events; split equally", unit, events)
     return EXIT_OK
 
 
@@ -316,9 +319,10 @@ def cmd_pseudo(args, cfg: PipelineConfig) -> int:
     stop = None if args.keep_going else (lambda res: bool(res[2]))
     results = run_batch(_pseudo_worker, payloads, cfg.workers, stop)
 
+    # Keys are built in sorted order, as summary.json has always listed them.
     summary: dict = {
-        "seed": cfg.seed,
         "melody_bank": bank_path if bank_path is not None else "builtin",
+        "seed": cfg.seed,
         "utterances": {},
     }
     failures = 0
@@ -326,14 +330,11 @@ def cmd_pseudo(args, cfg: PipelineConfig) -> int:
         if error:
             failures += 1
             log.error("%s: %s", utt_id, error)
-            summary["utterances"][utt_id] = {"status": "error", "error": error}
+            summary["utterances"][utt_id] = {"error": error, "status": "error"}
         else:
             log.info("%s: melody %s", utt_id, melody_id)
-            summary["utterances"][utt_id] = {"status": "ok", "melody": melody_id}
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+            summary["utterances"][utt_id] = {"melody": melody_id, "status": "ok"}
+    (out_dir / "summary.json").write_text(dumps_document(summary), encoding="utf-8")
     if failures:
         log.error("%d of %d utterances failed", failures, len(results))
         return EXIT_INPUT
@@ -356,22 +357,26 @@ def cmd_plan_svc(args, cfg: PipelineConfig) -> int:
 
 # -- eval ---------------------------------------------------------------------
 
-def _eval_worker(payload: tuple) -> tuple[str, dict]:
+def _eval_worker(payload: tuple) -> tuple[str, dict | None, str]:
+    """One pair: returns (utt_id, metrics or None, input error or '')."""
     from .dsp.audio import read_wav
     from .metrics import evaluate_pair, read_embedding, tokenize_transcript
 
     utt_id, ref_entry, hyp_entry = payload
-    ref = read_wav(ref_entry["audio"], downmix=True)
-    hyp = read_wav(hyp_entry["audio"], downmix=True)
-    ref_tokens = hyp_tokens = None
-    if "text" in ref_entry and "text" in hyp_entry:
-        ref_tokens = tokenize_transcript(ref_entry["text"])
-        hyp_tokens = tokenize_transcript(hyp_entry["text"])
-    ref_emb = hyp_emb = None
-    if "embedding" in ref_entry and "embedding" in hyp_entry:
-        ref_emb = read_embedding(ref_entry["embedding"])
-        hyp_emb = read_embedding(hyp_entry["embedding"])
-    return utt_id, evaluate_pair(ref, hyp, ref_tokens, hyp_tokens, ref_emb, hyp_emb)
+    try:
+        ref = read_wav(ref_entry["audio"], downmix=True)
+        hyp = read_wav(hyp_entry["audio"], downmix=True)
+        ref_tokens = hyp_tokens = None
+        if "text" in ref_entry and "text" in hyp_entry:
+            ref_tokens = tokenize_transcript(ref_entry["text"])
+            hyp_tokens = tokenize_transcript(hyp_entry["text"])
+        ref_emb = hyp_emb = None
+        if "embedding" in ref_entry and "embedding" in hyp_entry:
+            ref_emb = read_embedding(ref_entry["embedding"])
+            hyp_emb = read_embedding(hyp_entry["embedding"])
+        return utt_id, evaluate_pair(ref, hyp, ref_tokens, hyp_tokens, ref_emb, hyp_emb), ""
+    except (InputError, OSError, UnicodeDecodeError) as exc:  # bad input; bugs still raise
+        return utt_id, None, f"{type(exc).__name__}: {exc}"
 
 
 def cmd_eval(args, cfg: PipelineConfig) -> int:
@@ -393,13 +398,20 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
         )
     payloads = [(utt_id, refs[utt_id], hyps[utt_id]) for utt_id in sorted(refs)]
     report = EvalReport()
-    for utt_id, values in run_batch(_eval_worker, payloads, cfg.workers):
-        report.add(utt_id, values)
+    for utt_id, values, error in run_batch(_eval_worker, payloads, cfg.workers):
+        if error:
+            log.error("%s: %s", utt_id, error)
+            report.failures[utt_id] = error
+        else:
+            report.add(utt_id, values)
     if args.output is not None and args.output != "-":
         Path(args.output).write_text(report.dumps(), encoding="utf-8")
         sys.stdout.write(report.table() if args.table else "")
     else:
         sys.stdout.write(report.table() if args.table else report.dumps())
+    if report.failures:
+        log.error("%d of %d pairs failed", len(report.failures), len(payloads))
+        return EXIT_INPUT
     return EXIT_OK
 
 

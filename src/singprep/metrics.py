@@ -8,13 +8,13 @@ external systems and enter as plain files.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.fft import rfft
 
+from .annotation import dumps_document
 from .dsp.audio import Waveform, resample
 from .dsp.pitch import (F0Contour, centered_frames, extract_f0, frame_count, nearest_midi,
                         periodic_hann)
@@ -361,9 +361,11 @@ def _check_metrics(name: str, values: dict) -> None:
 
 @dataclass
 class EvalReport:
-    """Per-utterance metric dicts plus a mean aggregate (None-aware)."""
+    """Per-utterance metric dicts plus a mean aggregate (None-aware), and the
+    error of each pair that could not be evaluated."""
 
     per_utterance: dict[str, dict[str, float | None]] = field(default_factory=dict)
+    failures: dict[str, str] = field(default_factory=dict)
 
     def add(self, utt_id: str, values: dict[str, float | None]) -> None:
         if utt_id in self.per_utterance:
@@ -385,10 +387,13 @@ class EvalReport:
         return agg
 
     def to_document(self) -> dict:
-        return {"per_utterance": self.per_utterance, "aggregate": self.aggregate()}
+        doc = {"per_utterance": self.per_utterance, "aggregate": self.aggregate()}
+        if self.failures:
+            doc["failures"] = self.failures
+        return doc
 
     def dumps(self) -> str:
-        return json.dumps(self.to_document(), ensure_ascii=False, indent=2) + "\n"
+        return dumps_document(self.to_document())
 
     def table(self) -> str:
         """Aligned plain-text table, one row per utterance plus the mean."""

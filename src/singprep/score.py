@@ -20,7 +20,9 @@ import json
 import logging
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import InputError, OovError, ParseError
@@ -170,12 +172,14 @@ class RatioTable:
     """Duration split ratios per Pinyin unit, learned from forced alignment.
 
     A unit marked as fallback (alignment did not match) answers None; the
-    consumer then does an equal split.
+    consumer then does an equal split. ``misses`` counts, per unit as
+    written, the events that adaptation split equally for want of a ratio.
     """
 
     def __init__(self):
         self._weights: dict[str, tuple[tuple[str, ...], tuple[float, ...]]] = {}
         self._fallback: set[str] = set()
+        self.misses: Counter[str] = Counter()
 
     def set(self, unit: str, expansion: Sequence[str], weights: Sequence[float]) -> None:
         expansion = tuple(expansion)
@@ -244,9 +248,9 @@ class RatioTable:
         return table
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, ensure_ascii=False)
-            fh.write("\n")
+        from .annotation import dumps_document  # annotation imports this module
+
+        Path(path).write_text(dumps_document(self.to_dict()), encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "RatioTable":
@@ -259,15 +263,14 @@ class RatioTable:
 
 
 def _expansion_weights(
-    unit: str, lexicon: Lexicon, ratios: RatioTable | None
+    unit: str, lexicon: Lexicon, ratios: RatioTable | None, events: int
 ) -> tuple[tuple[str, ...], tuple[float, ...]]:
     expansion = lexicon.expand_unit(unit)
-    k = len(expansion)
     weights = ratios.get(unit, expansion) if ratios is not None else None
     if weights is None:
         if ratios is not None:
-            log.warning("no ratio for unit %r; falling back to equal split", unit)
-        weights = tuple(1.0 / k for _ in range(k))
+            ratios.misses[unit] += events
+        weights = (1.0 / len(expansion),) * len(expansion)
     return expansion, weights
 
 
@@ -285,7 +288,8 @@ def adapt_average(events: Sequence[PhonemeEvent], lexicon: Lexicon) -> list[Phon
         expansion = lexicon.expand_unit(ev.phoneme)
         share = ev.ph_dur / len(expansion)
         for ph in expansion:
-            out.append(replace(ev, phoneme=ph, ph_dur=share))
+            out.append(PhonemeEvent(ph, share, ev.note_midi, ev.note_dur, ev.is_slur,
+                                    ev.language_token, ev.style_token))
     return out
 
 
@@ -300,8 +304,8 @@ def adapt_proportional(
     ratio. Consecutive slur repetitions of one final are merged into a single
     span, distributed by ratio, then cut back at the original note
     boundaries; a phone straddling a boundary is emitted twice with the
-    second piece slur-flagged and carrying the second note. Missing ratios
-    fall back to an equal split with a warning.
+    second piece slur-flagged and carrying the second note. A unit without a
+    ratio is split equally and its events are counted in ``ratios.misses``.
     """
     out: list[PhonemeEvent] = []
     i = 0
@@ -313,9 +317,10 @@ def adapt_proportional(
             i += 1
             continue
         if lexicon.is_initial(ev.phoneme):
-            expansion, weights = _expansion_weights(ev.phoneme, lexicon, ratios)
+            expansion, weights = _expansion_weights(ev.phoneme, lexicon, ratios, 1)
             for ph, w in zip(expansion, weights):
-                out.append(replace(ev, phoneme=ph, ph_dur=w * ev.ph_dur))
+                out.append(PhonemeEvent(ph, w * ev.ph_dur, ev.note_midi, ev.note_dur,
+                                        ev.is_slur, ev.language_token, ev.style_token))
             i += 1
             continue
         # Final: absorb consecutive slur repetitions of the same unit.
@@ -334,7 +339,7 @@ def _adapt_final_group(
 ) -> list[PhonemeEvent]:
     """Distribute a merged final span over its phones, then cut at note boundaries."""
     unit = group[0].phoneme
-    expansion, weights = _expansion_weights(unit, lexicon, ratios)
+    expansion, weights = _expansion_weights(unit, lexicon, ratios, len(group))
     span = sum(e.ph_dur for e in group)
 
     # Phone edges from cumulative weights; the last edge is the span exactly.
@@ -366,24 +371,19 @@ def _adapt_final_group(
         merged.append(span)
 
     out: list[PhonemeEvent] = []
+    last_phone, last_event, first_slur = len(expansion) - 1, len(group) - 1, group[0].is_slur
     emitted_phone = -1
     for a, b in zip(merged, merged[1:]):
         mid = (a + b) / 2.0
-        phone_idx = min(bisect_right(edges, mid), len(expansion) - 1)
-        event_idx = min(bisect_right(cuts, mid), len(group) - 1)
+        phone_idx = min(bisect_right(edges, mid), last_phone)
+        event_idx = min(bisect_right(cuts, mid), last_event)
         src = group[event_idx]
         first_piece = phone_idx != emitted_phone
-        out.append(
-            PhonemeEvent(
-                phoneme=expansion[phone_idx],
-                ph_dur=b - a,
-                note_midi=src.note_midi,
-                note_dur=src.note_dur,
-                is_slur=group[0].is_slur if first_piece and event_idx == 0 else (not first_piece),
-                language_token=src.language_token,
-                style_token=src.style_token,
-            )
-        )
+        out.append(PhonemeEvent(
+            expansion[phone_idx], b - a, src.note_midi, src.note_dur,
+            first_slur if first_piece and event_idx == 0 else not first_piece,
+            src.language_token, src.style_token,
+        ))
         emitted_phone = phone_idx
     return out
 
@@ -403,7 +403,7 @@ def extract_ratios(
     aligned = [
         (iv.label.upper().rstrip("012"), iv.end - iv.start)
         for iv in alignment.intervals
-        if not is_silence_label(iv.label)
+        if iv.label.lower() not in SILENCE_LABELS
     ]
     concat = [ph for _, exp in expected for ph in exp]
     if [ph for ph, _ in aligned] != concat:
@@ -430,7 +430,7 @@ def extract_ratios(
         entry[1].append(weights)
     for unit, (exp, rows) in per_unit.items():
         k = len(rows)
-        mean = [sum(r[i] for r in rows) / k for i in range(len(exp))]
+        mean = [sum(column) / k for column in zip(*rows)]
         total = sum(mean)
         table.set(unit, exp, [m / total for m in mean])
     return table
@@ -459,7 +459,8 @@ def substitute_missing(
         if new is None:
             raise OovError(ev.phoneme, ENGLISH)
         subs.append((idx, ev.phoneme, new))
-        out.append(replace(ev, phoneme=new))
+        out.append(PhonemeEvent(new, ev.ph_dur, ev.note_midi, ev.note_dur, ev.is_slur,
+                                ev.language_token, ev.style_token))
     if subs:
         log.info("substituted %d phones: %s", len(subs),
                  ", ".join(f"{o}->{n}" for _, o, n in subs[:8]))

@@ -9,6 +9,7 @@ a parse -> serialize -> parse round trip.
 from __future__ import annotations
 
 import logging
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,7 +72,14 @@ class AlignmentTier:
 # A quoted string runs to the first quote that is not part of a doubled-quote
 # escape: its closing quote is not followed by another. Anything else up to
 # whitespace is a bare word; one that starts with a quote never closed.
-_TOKEN = re.compile(r'"((?:[^"]|"")*)"(?!")|(\S+)')
+# The fixed long-form keys, '=' and '[k]:' headers, each followed by
+# whitespace, are skipped inside the match: float() rejects all of them, so
+# they never reach Python. Every repetition starts at a non-space character
+# after greedy whitespace, and the text is right-stripped, so no match
+# backtracks: the scan stays linear (no atomic groups needed).
+_DECOR = (r"(?:File|type|Object|class|xmin|xmax|tiers\?|size|item|intervals:?|points:?"
+          r"|name|text|mark|number|time|=|\[\d*\]:?)")
+_TOKEN = re.compile(r'\s*(?:' + _DECOR + r'\s+)*(?:"((?:[^"]|"")*)"(?!")|(\S+))')
 
 
 def _scan(text: str) -> Iterator[tuple[str, object]]:
@@ -83,7 +91,8 @@ def _scan(text: str) -> Iterator[tuple[str, object]]:
     skipped; the short form consists of values only, so both forms reduce to
     the same value stream.
     """
-    for quoted, word in _TOKEN.findall(text):
+    junk: set[str] = set()  # bare words float() already rejected
+    for quoted, word in _TOKEN.findall(text.rstrip()):
         if not word:
             yield ("str", quoted.replace('""', '"'))
         elif word.startswith('"'):
@@ -92,26 +101,41 @@ def _scan(text: str) -> Iterator[tuple[str, object]]:
             yield ("flag", True)
         elif word == "<absent>":
             yield ("flag", False)
-        else:
+        elif word not in junk:
             try:
                 yield ("num", float(word))
             except ValueError:
-                continue  # long-form decoration
+                junk.add(word)  # long-form decoration
 
 
 class _Cursor:
+    """Reads typed values in order. Each 'what' is a str.format template for
+    the error message, filled with args only when reading fails."""
+
     def __init__(self, values: list[tuple[str, object]]):
         self.values = values
         self.pos = 0
 
-    def next(self, kind: str, what: str):
+    def next(self, kind: str, what: str, *args):
         if self.pos < len(self.values):
             k, v = self.values[self.pos]
             self.pos += 1
             if k == kind:
                 return v
-            raise ParseError(f"TextGrid: expected {what}, found {k} {v!r}")
-        raise ParseError(f"TextGrid: unexpected end of file while reading {what}")
+            raise ParseError(f"TextGrid: expected {what.format(*args)}, found {k} {v!r}")
+        raise ParseError(f"TextGrid: unexpected end of file while reading {what.format(*args)}")
+
+    def time(self, what: str, *args) -> float:
+        v = self.next("num", what, *args)
+        if math.isfinite(v):
+            return v
+        raise ParseError(f"TextGrid: {what.format(*args)} must be finite, got {v}")
+
+    def count(self, what: str, *args) -> int:
+        v = self.next("num", what, *args)
+        if v >= 0 and v.is_integer():
+            return int(v)
+        raise ParseError(f"TextGrid: {what.format(*args)} must be a nonnegative integer, got {v}")
 
     def peek_flag(self):
         if self.pos < len(self.values) and self.values[self.pos][0] == "flag":
@@ -122,7 +146,11 @@ class _Cursor:
 
 
 def parse_textgrid(text: str) -> list[AlignmentTier]:
-    """Parse TextGrid text (either form) into interval tiers."""
+    """Parse TextGrid text (either form) into interval tiers.
+
+    Times must be finite and counts nonnegative integers; a ParseError names
+    the tier and interval that breaks either rule.
+    """
     cur = _Cursor(list(_scan(text)))
     header = cur.next("str", "file type header")
     if header != "ooTextFile":
@@ -130,36 +158,36 @@ def parse_textgrid(text: str) -> list[AlignmentTier]:
     klass = cur.next("str", "object class")
     if klass != "TextGrid":
         raise ParseError(f"not a TextGrid: object class {klass!r}")
-    cur.next("num", "global xmin")
-    cur.next("num", "global xmax")
+    cur.time("global xmin")
+    cur.time("global xmax")
     has_tiers = cur.peek_flag()
     if has_tiers is False:
         return []
-    ntiers = int(cur.next("num", "tier count"))
+    ntiers = cur.count("tier count")
 
     tiers: list[AlignmentTier] = []
-    for t in range(ntiers):
-        tclass = cur.next("str", f"class of tier {t + 1}")
-        name = cur.next("str", f"name of tier {t + 1}")
-        cur.next("num", f"xmin of tier {name!r}")
-        cur.next("num", f"xmax of tier {name!r}")
-        size = int(cur.next("num", f"size of tier {name!r}"))
+    for t in range(1, ntiers + 1):
+        tclass = cur.next("str", "class of tier {}", t)
+        name = cur.next("str", "name of tier {}", t)
+        cur.time("xmin of tier {!r}", name)
+        cur.time("xmax of tier {!r}", name)
+        size = cur.count("size of tier {!r}", name)
         if tclass == "IntervalTier":
             intervals = []
-            for k in range(size):
-                xmin = cur.next("num", f"tier {name!r} interval {k + 1} xmin")
-                xmax = cur.next("num", f"tier {name!r} interval {k + 1} xmax")
-                label = cur.next("str", f"tier {name!r} interval {k + 1} text")
+            for k in range(1, size + 1):
+                xmin = cur.time("tier {!r} interval {} xmin", name, k)
+                xmax = cur.time("tier {!r} interval {} xmax", name, k)
+                label = cur.next("str", "tier {!r} interval {} text", name, k)
                 if xmin > xmax:
                     raise ParseError(
-                        f"tier {name!r}: interval {k + 1} has xmin {xmin} > xmax {xmax}"
+                        f"tier {name!r}: interval {k} has xmin {xmin} > xmax {xmax}"
                     )
-                intervals.append(Interval(float(xmin), float(xmax), label))
+                intervals.append(Interval(xmin, xmax, label))
             tiers.append(AlignmentTier(name, intervals))
         elif tclass == "TextTier":
-            for k in range(size):
-                cur.next("num", f"point tier {name!r} point {k + 1} time")
-                cur.next("str", f"point tier {name!r} point {k + 1} mark")
+            for k in range(1, size + 1):
+                cur.time("point tier {!r} point {} time", name, k)
+                cur.next("str", "point tier {!r} point {} mark", name, k)
             log.warning("skipping point tier %r (%d points)", name, size)
         else:
             raise ParseError(f"tier {name!r}: unknown tier class {tclass!r}")
@@ -167,7 +195,9 @@ def parse_textgrid(text: str) -> list[AlignmentTier]:
 
 
 def read_textgrid(path) -> list[AlignmentTier]:
-    """Read a TextGrid file, detecting UTF-8/UTF-16 byte-order marks."""
+    """Read a TextGrid file, detecting UTF-8/UTF-16 byte-order marks.
+
+    A ParseError names the file."""
     raw = Path(path).read_bytes()
     if raw.startswith(b"\xff\xfe") or raw.startswith(b"\xfe\xff"):
         text = raw.decode("utf-16")
@@ -175,7 +205,10 @@ def read_textgrid(path) -> list[AlignmentTier]:
         text = raw.decode("utf-8-sig")
     else:
         text = raw.decode("utf-8")
-    return parse_textgrid(text)
+    try:
+        return parse_textgrid(text)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _fmt(x: float) -> str:

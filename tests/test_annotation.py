@@ -2,6 +2,7 @@ import json
 
 import jsonschema
 import pytest
+from hypothesis import given, strategies as st
 from importlib import resources
 
 from singprep import (
@@ -16,7 +17,7 @@ from singprep import (
     write_annotation,
     write_manifest,
 )
-from singprep.annotation import VOICE_PARTS, normalize_voice_part
+from singprep.annotation import VOICE_PARTS, dumps_document, normalize_voice_part
 
 
 def sample_record(utt="utt1"):
@@ -137,6 +138,33 @@ class TestValidateDocument:
         with pytest.raises(ValidationError, match="style"):
             validate_document(doc)
 
+    @pytest.mark.parametrize("name, value, failure", [
+        ("phs", "", "phs[1]: must be a nonempty string (got '')"),
+        ("phs", 3, "phs[1]: must be a nonempty string (got 3)"),
+        ("is_slur", True, "is_slur[1]: must be 0 or 1 (got True)"),
+        ("is_slur", 1.0, "is_slur[1]: must be 0 or 1 (got 1.0)"),
+        ("ph_dur", float("nan"), "ph_dur[1]: must be a positive number (got nan)"),
+        ("ph_dur", -0.0, "ph_dur[1]: must be a positive number (got -0.0)"),
+        ("ph_dur", True, "ph_dur[1]: must be a positive number (got True)"),
+        ("notes", 128, "notes[1]: must be a MIDI integer in 0..127 (got 128)"),
+        ("notes", 60.0, "notes[1]: must be a MIDI integer in 0..127 (got 60.0)"),
+        ("notes_dur", float("nan"), "notes_dur[1]: must be a nonnegative number (got nan)"),
+        ("notes_dur", "0.4", "notes_dur[1]: must be a nonnegative number (got '0.4')"),
+        ("lang", False, "lang[1]: must be 0 or 1 (got False)"),
+        ("style", 3, "style[1]: must be 0, 1, or 2 (got 3)"),
+    ])
+    def test_bad_element_named(self, name, value, failure):
+        doc = sample_record().to_document()
+        doc[name][1] = value
+        with pytest.raises(ValidationError) as err:
+            validate_document(doc)
+        assert err.value.failures == [failure]
+
+    def test_zero_note_duration_and_int_values_pass(self):
+        doc = sample_record().to_document()
+        doc["notes_dur"][0], doc["ph_dur"][0] = 0, 1
+        validate_document(doc)
+
     def test_matches_bundled_json_schema(self):
         schema = json.loads(resources.files("singprep.data")
                             .joinpath("annotation.schema.json").read_text())
@@ -192,3 +220,26 @@ class TestManifest:
 
 def test_voice_parts_are_the_five_registers():
     assert VOICE_PARTS == ("Bass", "Baritone", "Tenor", "Alto", "Soprano")
+
+
+# Nested documents with every JSON scalar (NaN and infinities included),
+# empty containers, tuples, non-ASCII text and non-string keys.
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
+_JSON_DOCS = st.recursive(_JSON_SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=5),
+    st.lists(children, max_size=5).map(tuple),
+    st.dictionaries(st.text(), children, max_size=5),
+    st.dictionaries(_JSON_SCALARS.filter(lambda k: not isinstance(k, str)), children,
+                    max_size=3),
+), max_leaves=40)
+
+
+@given(_JSON_DOCS)
+def test_dumps_document_equals_stdlib_indented_json(doc):
+    assert dumps_document(doc) == json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+
+
+def test_dumps_document_on_a_manifest_equals_stdlib():
+    doc = {"records": [sample_record(f"ü{i}").to_document() for i in range(3)]}
+    doc["records"][1]["ph_dur"][0] = float("nan")
+    assert dumps_document(doc) == json.dumps(doc, ensure_ascii=False, indent=2) + "\n"

@@ -12,7 +12,7 @@ from singprep import cli
 from singprep.cli import build_parser, derive_seed, main
 from singprep.dsp import write_wav
 from singprep.score import RatioTable
-from singprep.textgrid import AlignmentTier, Interval, write_textgrid
+from singprep.textgrid import AlignmentTier, Interval, serialize_textgrid, write_textgrid
 
 from helpers import sine, write_clip_files
 
@@ -24,6 +24,13 @@ MIXED_TOKENS = "1 1 1 1 1 1 0 0 0 0 0 0 0 0 0 0 0"
 def write_json(path, doc):
     path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
     return str(path)
+
+
+CUN_PHONES = AlignmentTier("phones", [
+    Interval(0.0, 0.1, "T"), Interval(0.1, 0.5, "S"),
+    Interval(0.5, 0.7, "UW"), Interval(0.7, 0.9, "AH"),
+    Interval(0.9, 1.1, "N"),
+])
 
 
 def cun_manifest(path):
@@ -215,17 +222,34 @@ class TestAdapt:
         manifest = cun_manifest(tmp_path / "in.json")
         align_dir = tmp_path / "align"
         align_dir.mkdir()
-        tier = AlignmentTier("phones", [
-            Interval(0.0, 0.1, "T"), Interval(0.1, 0.5, "S"),
-            Interval(0.5, 0.7, "UW"), Interval(0.7, 0.9, "AH"),
-            Interval(0.9, 1.1, "N"),
-        ])
-        write_textgrid([tier], align_dir / "cun.TextGrid")
+        write_textgrid([CUN_PHONES], align_dir / "cun.TextGrid")
         out = tmp_path / "out.json"
         assert main(["adapt", "--input", manifest, "--strategy", "proportional",
                      "--alignment-dir", str(align_dir),
                      "--output", str(out)]) == 0
         self.check_proportional(self.adapted(out))
+
+    def test_one_warning_per_unit_without_ratio(self, tmp_path, caplog):
+        record = json.loads(Path(cun_manifest(tmp_path / "in.json")).read_text())["records"][0]
+        manifest = write_json(tmp_path / "two.json", {"records": [
+            record, {**record, "utt_id": "cun2"}]})
+        ratios = write_json(tmp_path / "ratios.json", {})
+        assert main(["adapt", "--input", manifest, "--strategy", "proportional",
+                     "--ratios", ratios, "--output", str(tmp_path / "out.json")]) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == ["no ratio for unit 'c' in 2 events; split equally",
+                            "no ratio for unit 'uen' in 4 events; split equally"]
+
+    def test_bad_alignment_number_fails_naming_file_tier_and_interval(self, tmp_path, caplog):
+        manifest = cun_manifest(tmp_path / "in.json")
+        align_dir = tmp_path / "align"
+        align_dir.mkdir()
+        text = serialize_textgrid([CUN_PHONES]).replace("xmax = 0.5\n", "xmax = nan\n", 1)
+        (align_dir / "cun.TextGrid").write_text(text, encoding="utf-8")
+        assert main(["adapt", "--input", manifest, "--strategy", "proportional",
+                     "--alignment-dir", str(align_dir)]) == 2
+        assert (f"{align_dir / 'cun.TextGrid'}: TextGrid: tier 'phones' interval 2 xmax "
+                "must be finite, got nan") in caplog.text
 
     def test_proportional_needs_a_ratio_source(self, tmp_path):
         manifest = cun_manifest(tmp_path / "in.json")
@@ -557,6 +581,16 @@ class TestEval:
             {"utt_id": "a", "audio": str(bad)}, {"utt_id": "b", "audio": str(wav)},
         ]})
         assert main(["eval", "--ref", ref, "--hyp", hyp, "--workers", "2"]) == 2
+        # The good pair is still scored and the bad one recorded, with either worker count.
+        for workers in ("2", "1"):
+            out = tmp_path / f"report{workers}.json"
+            assert main(["eval", "--ref", ref, "--hyp", hyp, "--workers", workers,
+                         "--output", str(out)]) == 2
+            report = json.loads(out.read_text())
+            assert list(report["per_utterance"]) == ["b"]
+            assert report["aggregate"] == report["per_utterance"]["b"]
+            assert list(report["failures"]) == ["a"]
+            assert report["failures"]["a"].startswith(f"InputError: {bad}: not a readable WAV")
 
 
 class TestConfig:
@@ -637,6 +671,7 @@ _RATIOS = [*_PROPORTIONAL, "--ratios", "r.json"]
 _SCORE = ["transcode", "--score", "s.json"]
 _EVAL = ["eval", "--ref", "ref.json", "--hyp", "hyp.json"]
 _EVAL_REF = '{"utterances": [{"utt_id": "clip", "audio": "clip.wav", "text": "a b"}]}'
+_CUN_TG = serialize_textgrid([CUN_PHONES])
 
 
 @pytest.mark.parametrize("files, argv", [
@@ -674,6 +709,12 @@ _EVAL_REF = '{"utterances": [{"utt_id": "clip", "audio": "clip.wav", "text": "a 
                  id="config-not-utf8"),
     pytest.param({"tg/cun.TextGrid": b'File type = "ooTextFile"\n"\xe9"\n'},
                  [*_PROPORTIONAL, "--alignment-dir", "tg"], id="textgrid-not-utf8"),
+    pytest.param({"tg/cun.TextGrid": _CUN_TG.replace("size = 1\n", "size = nan\n")},
+                 [*_PROPORTIONAL, "--alignment-dir", "tg"], id="textgrid-tier-count-nan"),
+    pytest.param({"tg/cun.TextGrid": _CUN_TG.replace("size = 1\n", "size = inf\n")},
+                 [*_PROPORTIONAL, "--alignment-dir", "tg"], id="textgrid-tier-count-inf"),
+    pytest.param({"tg/cun.TextGrid": _CUN_TG.replace("size = 5\n", "size = nan\n")},
+                 [*_PROPORTIONAL, "--alignment-dir", "tg"], id="textgrid-size-nan"),
 ])
 def test_malformed_input_exits_2(tmp_path, files, argv):
     cun_manifest(tmp_path / "in.json")

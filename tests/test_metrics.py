@@ -460,6 +460,23 @@ class TestEvalReport:
         r.add("u1", self.one(wer=None))
         jsonschema.validate(json.loads(r.dumps()), schema)
 
+    def test_failures_key_only_with_failures(self):
+        import json
+        from importlib import resources
+        import jsonschema
+        schema = json.loads(resources.files("singprep.data")
+                            .joinpath("eval_report.schema.json").read_text())
+        r = EvalReport()
+        r.add("u1", self.one())
+        clean = r.dumps()
+        r.failures["u2"] = "InputError: u2.wav: not a readable WAV file"
+        doc = json.loads(r.dumps())
+        assert list(doc) == ["per_utterance", "aggregate", "failures"]
+        assert doc["failures"] == {"u2": "InputError: u2.wav: not a readable WAV file"}
+        jsonschema.validate(doc, schema)
+        del doc["failures"]
+        assert json.dumps(doc, indent=2) + "\n" == clean
+
     def test_dumps_deterministic(self):
         r = EvalReport()
         r.add("b", self.one())

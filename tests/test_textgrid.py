@@ -1,3 +1,6 @@
+import re
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -132,6 +135,46 @@ class TestParsing:
             parse_textgrid(text)
 
 
+class TestNumbers:
+    """Times must be finite and counts nonnegative integers."""
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("<exists>\n1\n", "<exists>\nnan\n", "tier count must be a nonnegative integer, got nan"),
+        ("<exists>\n1\n", "<exists>\ninf\n", "tier count must be a nonnegative integer, got inf"),
+        ("<exists>\n1\n", "<exists>\n-1\n", "tier count must be a nonnegative integer, got -1.0"),
+        ("<exists>\n1\n", "<exists>\n1.5\n", "tier count must be a nonnegative integer, got 1.5"),
+        ('"phones"\n0\n1.5\n2\n', '"phones"\n0\n1.5\nnan\n',
+         "size of tier 'phones' must be a nonnegative integer, got nan"),
+        ('"phones"\n0\n1.5\n2\n', '"phones"\n0\n1.5\ninf\n',
+         "size of tier 'phones' must be a nonnegative integer, got inf"),
+        ('"phones"\n0\n1.5\n', '"phones"\n0\nInfinity\n',
+         "xmax of tier 'phones' must be finite, got inf"),
+        ('0.9\n1.5\n"NG"', '0.9\nnan\n"NG"', "tier 'phones' interval 2 xmax must be finite, got nan"),
+        ('"AO"\n0.9', '"AO"\n-inf', "tier 'phones' interval 2 xmin must be finite, got -inf"),
+        ("TextGrid\"\n\n0\n", "TextGrid\"\n\nnan\n", "global xmin must be finite, got nan"),
+    ], ids=["count-nan", "count-inf", "count-negative", "count-fraction", "size-nan", "size-inf",
+            "tier-xmax-inf", "interval-xmax-nan", "interval-xmin-inf", "global-xmin-nan"])
+    def test_rejected_naming_the_field(self, old, new, message):
+        assert old in SHORT_FORM
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_textgrid(SHORT_FORM.replace(old, new, 1))
+
+    def test_tier_names_are_not_format_templates(self):
+        text = SHORT_FORM.replace('"phones"', '"{0} %s {}"').replace("0.9\n1.5\n", "0.9\nnan\n")
+        with pytest.raises(ParseError, match=re.escape("tier '{0} %s {}' interval 2 xmax")):
+            parse_textgrid(text)
+
+    def test_integral_float_counts_accepted(self):
+        tiers = parse_textgrid(SHORT_FORM.replace("<exists>\n1\n", "<exists>\n1.0\n"))
+        assert [t.name for t in tiers] == ["phones"]
+
+    def test_read_names_the_file(self, tmp_path):
+        p = tmp_path / "cut.TextGrid"
+        p.write_text(LONG_FORM[: len(LONG_FORM) // 2], encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(p))}: TextGrid: unexpected end"):
+            read_textgrid(p)
+
+
 def _tokens(scan, text):
     try:
         return list(scan(text))
@@ -139,9 +182,38 @@ def _tokens(scan, text):
         return str(exc)
 
 
-@given(st.text(alphabet='"a1 \n\xa0\x1c<>', max_size=16))
+# Long-form decoration, words float() takes in unusual spellings, near misses
+# of decoration, quotes, and Unicode whitespace (no-break, file separator, em).
+_WORDS = ["File", "type", "Object", "class", "xmin", "xmax", "tiers?", "size", "item",
+          "intervals", "intervals:", "points", "points:", "name", "text", "mark", "number",
+          "time", "=", "[]", "[]:", "[1]:", "[١٢]:", "[x]:", "tiers", "sizes", "xmin=", "=1",
+          "foo", "<exists>", "<absent>", "nan", "-inf", "Infinity", "1_0", "١٢", "0.5", "7",
+          '"', '""', '"a"', '"a b"', '"a""b"', '"x\ny"', 'a"b"', '"open']
+_SPACES = ["", " ", "  ", "\n", "\r\n", "\t", "\xa0", "\x1c", "\u2003"]
+
+
+@given(st.one_of(
+    st.text(alphabet='"a1 \n\xa0\x1c<>', max_size=16),
+    st.lists(st.tuples(st.sampled_from(_SPACES), st.sampled_from(_WORDS)), max_size=12)
+      .map(lambda parts: "".join(space + word for space, word in parts)),
+))
 def test_scan_matches_frozen_lexer(text):
-    assert _tokens(_scan, text) == _tokens(textgrid_scan_oracle, text)
+    # repr, so that NaN equals NaN and -0.0 differs from 0.0
+    assert repr(_tokens(_scan, text)) == repr(_tokens(textgrid_scan_oracle, text))
+
+
+@pytest.mark.parametrize("text", [
+    " " * 200_000,
+    "= " * 100_000,
+    "= " * 100_000 + '"open',
+    "\xa0\n" * 100_000 + "1",
+    "xmin = " * 50_000 + "1 " * 50_000,
+], ids=["spaces", "equals", "equals-then-open-quote", "unicode-spaces", "keys-then-numbers"])
+def test_scan_is_linear_in_whitespace_and_decoration(text):
+    # A backtracking pattern takes minutes on these; the scan takes milliseconds.
+    start = time.perf_counter()
+    _tokens(_scan, text)
+    assert time.perf_counter() - start < 5.0
 
 
 class TestEncodings:
