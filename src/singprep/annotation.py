@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
+from .jsonio import dumps_document
 from .score import PhonemeEvent
 
 VOICE_PARTS = ("Bass", "Baritone", "Tenor", "Alto", "Soprano")
@@ -29,7 +30,6 @@ VOICE_PART_ALIASES = {
 _FIELDS = ("utt_id", "audio", "singer", "voice_part",
            "phs", "is_slur", "ph_dur", "notes", "notes_dur", "lang", "style")
 _ARRAYS = ("phs", "is_slur", "ph_dur", "notes", "notes_dur", "lang", "style")
-_MIDI_NOTES = frozenset(range(128))
 
 
 def normalize_voice_part(part: str | None) -> str | None:
@@ -134,32 +134,22 @@ def validate_document(doc: dict) -> None:
     if lengths == {0}:
         failures.append("phs: event list must be nonempty")
 
-    def check(name, pred, msg, valid):
-        # valid(arr) tests the whole array at C speed on plain JSON types;
-        # when it passes, pred holds for every element.
+    def check(name, pred, msg):
         arr = doc.get(name)
-        if isinstance(arr, list) and not valid(arr):
-            failures.extend(f"{name}[{i}]: {msg} (got {v!r})"
-                            for i, v in enumerate(arr) if not pred(v))
+        if isinstance(arr, list):
+            for i, v in enumerate(arr):
+                if not pred(v):
+                    failures.append(f"{name}[{i}]: {msg} (got {v!r})")
 
     is_int = lambda v: isinstance(v, int) and not isinstance(v, bool)
     is_num = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
-    ints = lambda arr, allowed: set(map(type, arr)) <= {int} and set(arr) <= allowed
-    nums = lambda arr, above: set(map(type, arr)) <= {int, float} and all(map(above, arr))
-    check("phs", lambda v: isinstance(v, str) and v != "", "must be a nonempty string",
-          lambda arr: set(map(type, arr)) <= {str} and "" not in arr)
-    check("is_slur", lambda v: is_int(v) and v in (0, 1), "must be 0 or 1",
-          lambda arr: ints(arr, {0, 1}))
-    check("ph_dur", lambda v: is_num(v) and v > 0, "must be a positive number",
-          lambda arr: nums(arr, (0.0).__lt__))  # NaN fails the comparison
-    check("notes", lambda v: is_int(v) and 0 <= v <= 127, "must be a MIDI integer in 0..127",
-          lambda arr: ints(arr, _MIDI_NOTES))
-    check("notes_dur", lambda v: is_num(v) and v >= 0, "must be a nonnegative number",
-          lambda arr: nums(arr, (0.0).__le__))
-    check("lang", lambda v: is_int(v) and v in (0, 1), "must be 0 or 1",
-          lambda arr: ints(arr, {0, 1}))
-    check("style", lambda v: is_int(v) and v in (0, 1, 2), "must be 0, 1, or 2",
-          lambda arr: ints(arr, {0, 1, 2}))
+    check("phs", lambda v: isinstance(v, str) and v != "", "must be a nonempty string")
+    check("is_slur", lambda v: is_int(v) and v in (0, 1), "must be 0 or 1")
+    check("ph_dur", lambda v: is_num(v) and v > 0, "must be a positive number")
+    check("notes", lambda v: is_int(v) and 0 <= v <= 127, "must be a MIDI integer in 0..127")
+    check("notes_dur", lambda v: is_num(v) and v >= 0, "must be a nonnegative number")
+    check("lang", lambda v: is_int(v) and v in (0, 1), "must be 0 or 1")
+    check("style", lambda v: is_int(v) and v in (0, 1, 2), "must be 0, 1, or 2")
 
     if failures:
         raise ValidationError(failures)
@@ -167,34 +157,6 @@ def validate_document(doc: dict) -> None:
 
 def dumps_annotation(record: AnnotationRecord) -> str:
     return dumps_document(record.to_document())
-
-
-def dumps_document(doc) -> str:
-    """json.dumps(doc, ensure_ascii=False, indent=2) + "\\n", byte for byte.
-
-    The stdlib encodes indented JSON in pure Python; this writes each flat
-    list of scalars in one call to its C encoder instead (one element per
-    line through the item separator) and recurses only into containers.
-    """
-    return _dumps(doc, "") + "\n"
-
-
-def _dumps(obj, pad: str) -> str:
-    inner = pad + "  "
-    if isinstance(obj, (list, tuple)) and obj:
-        if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, obj))):
-            body = (",\n" + inner).join([_dumps(v, inner) for v in obj])
-        else:
-            body = json.dumps(obj, ensure_ascii=False, separators=(",\n" + inner, ": "))[1:-1]
-        return "[\n" + inner + body + "\n" + pad + "]"
-    if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
-        body = (",\n" + inner).join([
-            json.dumps(k, ensure_ascii=False) + ": " + _dumps(v, inner) for k, v in obj.items()
-        ])
-        return "{\n" + inner + body + "\n" + pad + "}"
-    # Scalars, empty containers and non-string keys: the stdlib, re-indented
-    # (encoded strings hold no raw newline).
-    return json.dumps(obj, ensure_ascii=False, indent=2).replace("\n", "\n" + pad)
 
 
 def write_annotation(record: AnnotationRecord, path) -> None:

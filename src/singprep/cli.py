@@ -20,10 +20,11 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
-from .annotation import (AnnotationRecord, dumps_document, dumps_manifest, read_manifest,
-                          write_annotation, write_manifest)
+from .annotation import (AnnotationRecord, dumps_manifest, read_manifest, write_annotation,
+                          write_manifest)
 from .config import STRATEGIES, PipelineConfig, resolve_config
 from .errors import InputError, ParseError, ValidationError
+from .jsonio import dumps_document
 from .lexicon import (ENGLISH, MANDARIN, Lexicon, LyricToken, default_lexicon, g2p,
                       language_of, segment_lyrics)
 from .melody import choose_melody, load_melody_bank
@@ -358,7 +359,11 @@ def cmd_plan_svc(args, cfg: PipelineConfig) -> int:
 # -- eval ---------------------------------------------------------------------
 
 def _eval_worker(payload: tuple) -> tuple[str, dict | None, str]:
-    """One pair: returns (utt_id, metrics or None, input error or '')."""
+    """One pair: returns (utt_id, metrics or None, input error or '').
+
+    Any input error of the pair counts: an unreadable file as well as inputs
+    that cannot be scored (embeddings of different shapes, a zero vector).
+    """
     from .dsp.audio import read_wav
     from .metrics import evaluate_pair, read_embedding, tokenize_transcript
 
@@ -399,11 +404,14 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
     payloads = [(utt_id, refs[utt_id], hyps[utt_id]) for utt_id in sorted(refs)]
     report = EvalReport()
     for utt_id, values, error in run_batch(_eval_worker, payloads, cfg.workers):
+        if not error:
+            try:
+                report.add(utt_id, values)
+            except InputError as exc:  # a metric outside its range
+                error = f"{type(exc).__name__}: {exc}"
         if error:
             log.error("%s: %s", utt_id, error)
             report.failures[utt_id] = error
-        else:
-            report.add(utt_id, values)
     if args.output is not None and args.output != "-":
         Path(args.output).write_text(report.dumps(), encoding="utf-8")
         sys.stdout.write(report.table() if args.table else "")

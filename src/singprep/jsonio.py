@@ -1,0 +1,36 @@
+"""The one indented-JSON writer for every document the toolkit emits.
+
+It imports nothing from the package, so every module can use it at top level.
+"""
+
+from __future__ import annotations
+
+import json
+
+
+def dumps_document(doc) -> str:
+    """json.dumps(doc, ensure_ascii=False, indent=2) + "\\n", byte for byte.
+
+    The stdlib encodes indented JSON in pure Python; this writes each flat
+    list of scalars in one call to its C encoder instead (one element per
+    line through the item separator) and recurses only into containers.
+    """
+    return _dumps(doc, "") + "\n"
+
+
+def _dumps(obj, pad: str) -> str:
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)) and obj:
+        if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, obj))):
+            body = (",\n" + inner).join([_dumps(v, inner) for v in obj])
+        else:
+            body = json.dumps(obj, ensure_ascii=False, separators=(",\n" + inner, ": "))[1:-1]
+        return "[\n" + inner + body + "\n" + pad + "]"
+    if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        body = (",\n" + inner).join([
+            json.dumps(k, ensure_ascii=False) + ": " + _dumps(v, inner) for k, v in obj.items()
+        ])
+        return "{\n" + inner + body + "\n" + pad + "}"
+    # Scalars, empty containers and non-string keys: the stdlib, re-indented
+    # (encoded strings hold no raw newline).
+    return json.dumps(obj, ensure_ascii=False, indent=2).replace("\n", "\n" + pad)

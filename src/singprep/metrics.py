@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.fft import rfft
 
-from .annotation import dumps_document
 from .dsp.audio import Waveform, resample
 from .dsp.pitch import (F0Contour, centered_frames, extract_f0, frame_count, nearest_midi,
                         periodic_hann)
 from .errors import InputError
+from .jsonio import dumps_document
 from .lexicon import _is_han
 
 MCEP_ORDER = 13

@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import InputError, OovError, ParseError
+from .jsonio import dumps_document
 from .lexicon import CMU_PHONES, CMU_VOWELS, ENGLISH, Lexicon, LyricToken, token_phones
 from .textgrid import AlignmentTier
 
@@ -248,8 +249,6 @@ class RatioTable:
         return table
 
     def save(self, path) -> None:
-        from .annotation import dumps_document  # annotation imports this module
-
         Path(path).write_text(dumps_document(self.to_dict()), encoding="utf-8")
 
     @classmethod
@@ -403,7 +402,7 @@ def extract_ratios(
     aligned = [
         (iv.label.upper().rstrip("012"), iv.end - iv.start)
         for iv in alignment.intervals
-        if iv.label.lower() not in SILENCE_LABELS
+        if not is_silence_label(iv.label)
     ]
     concat = [ph for _, exp in expected for ph in exp]
     if [ph for ph, _ in aligned] != concat:

@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .annotation import VOICE_PARTS, dumps_document, normalize_voice_part
+from .annotation import VOICE_PARTS, normalize_voice_part
 from .errors import InputError
+from .jsonio import dumps_document
 
 # rows: source part; columns: target part; both in VOICE_PARTS order
 # (Bass, Baritone, Tenor, Alto, Soprano); values in semitones.

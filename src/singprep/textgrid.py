@@ -91,7 +91,6 @@ def _scan(text: str) -> Iterator[tuple[str, object]]:
     skipped; the short form consists of values only, so both forms reduce to
     the same value stream.
     """
-    junk: set[str] = set()  # bare words float() already rejected
     for quoted, word in _TOKEN.findall(text.rstrip()):
         if not word:
             yield ("str", quoted.replace('""', '"'))
@@ -101,11 +100,11 @@ def _scan(text: str) -> Iterator[tuple[str, object]]:
             yield ("flag", True)
         elif word == "<absent>":
             yield ("flag", False)
-        elif word not in junk:
+        else:
             try:
                 yield ("num", float(word))
             except ValueError:
-                junk.add(word)  # long-form decoration
+                continue  # long-form decoration
 
 
 class _Cursor:

@@ -17,7 +17,8 @@ from singprep import (
     write_annotation,
     write_manifest,
 )
-from singprep.annotation import VOICE_PARTS, dumps_document, normalize_voice_part
+from singprep.annotation import VOICE_PARTS, normalize_voice_part
+from singprep.jsonio import dumps_document
 
 
 def sample_record(utt="utt1"):

@@ -592,6 +592,39 @@ class TestEval:
             assert list(report["failures"]) == ["a"]
             assert report["failures"]["a"].startswith(f"InputError: {bad}: not a readable WAV")
 
+    def test_unscorable_pair_is_a_failure(self, eval_pair_files):
+        # Embeddings of different shapes are read fine but cannot be scored.
+        ref, hyp, tmp_path = eval_pair_files
+        short = tmp_path / "short.txt"
+        short.write_text("1.0\n2.0\n")
+        doc = json.loads(Path(hyp).read_text())
+        good = dict(doc["utterances"][0], utt_id="good")
+        doc["utterances"] = [dict(good, utt_id="clip", embedding=str(short)), good]
+        write_json(Path(hyp), doc)
+        ref_doc = json.loads(Path(ref).read_text())
+        ref_doc["utterances"].append(dict(ref_doc["utterances"][0], utt_id="good"))
+        write_json(Path(ref), ref_doc)
+        out = tmp_path / "report.json"
+        assert main(["eval", "--ref", ref, "--hyp", hyp, "--output", str(out)]) == 2
+        report = json.loads(out.read_text())
+        assert list(report["per_utterance"]) == ["good"]
+        assert report["failures"] == {
+            "clip": "InputError: embedding shapes differ: (3,) vs (2,)"}
+
+    def test_metric_rejected_by_the_report_is_a_failure(self, eval_pair_files,
+                                                        monkeypatch):
+        from singprep import metrics
+
+        ref, hyp, tmp_path = eval_pair_files
+        scored = metrics.evaluate_pair
+        monkeypatch.setattr(metrics, "evaluate_pair",
+                            lambda *a: dict(scored(*a), mcd_db=float("nan")))
+        out = tmp_path / "report.json"
+        assert main(["eval", "--ref", ref, "--hyp", hyp, "--output", str(out)]) == 2
+        report = json.loads(out.read_text())
+        assert report["per_utterance"] == {}
+        assert report["failures"] == {"clip": "InputError: clip: mcd_db=nan is not finite"}
+
 
 class TestConfig:
     def test_file_seed_used(self, speech_manifest):
