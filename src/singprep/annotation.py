@@ -9,6 +9,7 @@ freshly read document reproduces it byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +36,8 @@ _ARRAYS = ("phs", "is_slur", "ph_dur", "notes", "notes_dur", "lang", "style")
 def normalize_voice_part(part: str | None) -> str | None:
     if part is None:
         return None
+    if not isinstance(part, str):
+        raise ValidationError([f"voice part must be a string, got {part!r}"])
     if part in VOICE_PARTS:
         return part
     if part.upper() in VOICE_PART_ALIASES:
@@ -58,6 +61,8 @@ class AnnotationRecord:
     def __post_init__(self):
         self.events = tuple(self.events)
         failures = []
+        if not isinstance(self.singer_id, str):
+            failures.append(f"singer: must be a string, got {self.singer_id!r}")
         if not self.utterance_id:
             failures.append("utt_id: must be nonempty")
         if not self.events:
@@ -145,9 +150,10 @@ def validate_document(doc: dict) -> None:
     is_num = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
     check("phs", lambda v: isinstance(v, str) and v != "", "must be a nonempty string")
     check("is_slur", lambda v: is_int(v) and v in (0, 1), "must be 0 or 1")
-    check("ph_dur", lambda v: is_num(v) and v > 0, "must be a positive number")
+    # json reads 1e309 as inf, which no JSON writer can put back
+    check("ph_dur", lambda v: is_num(v) and 0 < v < math.inf, "must be a positive number")
     check("notes", lambda v: is_int(v) and 0 <= v <= 127, "must be a MIDI integer in 0..127")
-    check("notes_dur", lambda v: is_num(v) and v >= 0, "must be a nonnegative number")
+    check("notes_dur", lambda v: is_num(v) and 0 <= v < math.inf, "must be a nonnegative number")
     check("lang", lambda v: is_int(v) and v in (0, 1), "must be 0 or 1")
     check("style", lambda v: is_int(v) and v in (0, 1, 2), "must be 0, 1, or 2")
 

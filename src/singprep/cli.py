@@ -6,17 +6,17 @@ error, 2 input or validation error (including an unreadable, non-UTF-8 or
 directory path).
 
 The numpy modules (dsp, metrics, pseudo) are imported inside the
-pseudo and eval functions, so the text subcommands start without them.
+pseudo and eval functions, so the text subcommands start without them; the
+process pool and hashlib are likewise imported only where they are used.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -50,6 +50,8 @@ _LANGUAGES = {"cn": MANDARIN, "en": ENGLISH}  # score-event "lang" codes
 
 def derive_seed(seed: int, utt_id: str) -> int:
     """Stable per-utterance seed, independent of processing order."""
+    import hashlib
+
     digest = hashlib.blake2s(f"{seed}:{utt_id}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
@@ -69,26 +71,47 @@ def _build_lexicon(cfg: PipelineConfig) -> Lexicon:
     return lex
 
 
-def run_batch(worker, payloads, workers: int, stop=None) -> list:
-    """worker(payload) for each payload, in payload order: in this process for
-    one worker, else all submitted to a process pool at once. When stop(result)
-    is true or a worker raises, payloads not yet started are cancelled and the
-    results of every one that ran are returned (or the first error re-raised)."""
+def run_batch(worker, payloads, workers: int, size, stop=None) -> list:
+    """worker(payload) for each payload; the results come back in payload order.
+
+    With one worker (or one payload) they run in this process, in payload
+    order. Otherwise a pool of at most one process per payload runs them,
+    submitted largest size(payload) first so that no process is left with a
+    long item at the end. When stop(result) is true or a worker raises,
+    payloads not yet started are cancelled and the results of every one that
+    ran are returned (or the first error re-raised); results are tested in
+    the order they were submitted."""
     stop = stop or (lambda result: False)
-    results = []
-    if workers <= 1:
+    if workers <= 1 or len(payloads) <= 1:
+        results = []
         for payload in payloads:
             results.append(worker(payload))
             if stop(results[-1]):
                 break
         return results
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(worker, payload) for payload in payloads]
-        for future in futures:
+    from concurrent.futures import ProcessPoolExecutor
+
+    # a stable sort: payloads of equal size keep their order
+    order = sorted(range(len(payloads)), key=lambda i: size(payloads[i]), reverse=True)
+    futures = {}
+    with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
+        for i in order:
+            futures[i] = pool.submit(worker, payloads[i])
+        for future in futures.values():
             if future.exception() is not None or stop(future.result()):
                 pool.shutdown(cancel_futures=True)
                 break
-    return [future.result() for future in futures if not future.cancelled()]
+    return [futures[i].result() for i in sorted(futures) if not futures[i].cancelled()]
+
+
+def _file_size(path) -> int:
+    """Bytes in the file at path: 0 if path is not a string or cannot be stat'ed."""
+    if not isinstance(path, str):
+        return 0
+    try:
+        return os.stat(path).st_size
+    except (OSError, ValueError):  # ValueError: a path with a NUL byte
+        return 0
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -318,7 +341,8 @@ def cmd_pseudo(args, cfg: PipelineConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     payloads = [(e, bank, cfg.seed, str(out_dir), cfg.hop) for e in entries]
     stop = None if args.keep_going else (lambda res: bool(res[2]))
-    results = run_batch(_pseudo_worker, payloads, cfg.workers, stop)
+    audio_size = lambda payload: _file_size(payload[0]["audio"])
+    results = run_batch(_pseudo_worker, payloads, cfg.workers, audio_size, stop)
 
     # Keys are built in sorted order, as summary.json has always listed them.
     summary: dict = {
@@ -403,7 +427,8 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
         )
     payloads = [(utt_id, refs[utt_id], hyps[utt_id]) for utt_id in sorted(refs)]
     report = EvalReport()
-    for utt_id, values, error in run_batch(_eval_worker, payloads, cfg.workers):
+    pair_size = lambda payload: _file_size(payload[1]["audio"]) + _file_size(payload[2]["audio"])
+    for utt_id, values, error in run_batch(_eval_worker, payloads, cfg.workers, pair_size):
         if not error:
             try:
                 report.add(utt_id, values)

@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-import yaml
-
 from .errors import InputError, ParseError
 
 STRATEGIES = ("average", "proportional")
@@ -51,6 +49,8 @@ _FIELD_NAMES = tuple(f.name for f in fields(PipelineConfig))
 
 def load_config_file(path) -> dict:
     """Raw settings mapping from a YAML file, keys checked against the schema."""
+    import yaml  # only a run with --config pays for loading it
+
     with open(path, encoding="utf-8") as fh:
         try:
             doc = yaml.safe_load(fh)
@@ -60,7 +60,7 @@ def load_config_file(path) -> dict:
         return {}
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: config must be a mapping, got {type(doc).__name__}")
-    unknown = sorted(set(doc) - set(_FIELD_NAMES))
+    unknown = sorted(str(key) for key in doc if key not in _FIELD_NAMES)
     if unknown:
         raise InputError(f"{path}: unknown config keys: {', '.join(unknown)}")
     return doc

@@ -8,6 +8,7 @@ from pseudo so that loading and checking a bank needs no numerical library.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from importlib import resources
@@ -35,9 +36,10 @@ class MelodyTemplate:
                 raise InputError(
                     f"melody {self.template_id!r}: note {midi!r} is not a positive integer"
                 )
-            if length <= 0:
+            if not 0 < length < math.inf:
                 raise InputError(
-                    f"melody {self.template_id!r}: step length {length!r} must be positive"
+                    f"melody {self.template_id!r}: step length {length!r} "
+                    "must be positive and finite"
                 )
             total += length
         # normalize so relative lengths sum to 1
@@ -88,10 +90,15 @@ def load_melody_bank(path=None) -> MelodyBank:
     for entry in doc["templates"]:
         if not isinstance(entry, dict) or "id" not in entry or "steps" not in entry:
             raise ParseError(f"malformed melody entry: {entry!r}")
+        if not isinstance(entry["steps"], list):
+            raise ParseError(f"melody {entry['id']!r}: steps must be a list")
         steps = []
         for step in entry["steps"]:
             if not isinstance(step, (list, tuple)) or len(step) != 2:
                 raise ParseError(f"melody {entry['id']!r}: step {step!r} is not a pair")
+            if isinstance(step[1], bool) or not isinstance(step[1], (int, float)):
+                raise ParseError(f"melody {entry['id']!r}: step length {step[1]!r} "
+                                 "is not a number")
             steps.append((step[0], float(step[1])))
         templates.append(MelodyTemplate(str(entry["id"]), tuple(steps)))
     if not templates:

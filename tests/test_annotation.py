@@ -67,6 +67,11 @@ class TestRecordValidation:
                              (PhonemeEvent("AA", 0.1, 60, 0.1),),
                              voice_part="Contralto")
 
+    @pytest.mark.parametrize("singer", [3, None])
+    def test_non_string_singer_rejected(self, singer):
+        with pytest.raises(ValidationError, match="singer: must be a string"):
+            AnnotationRecord("u", "a.wav", (PhonemeEvent("AA", 0.1, 60, 0.1),), singer)
+
     def test_none_voice_part_allowed(self):
         rec = AnnotationRecord("u", "a.wav", (PhonemeEvent("AA", 0.1, 60, 0.1),))
         assert rec.voice_part is None
@@ -90,6 +95,11 @@ class TestVoicePartAliases:
     def test_unknown_rejected(self):
         with pytest.raises(ValidationError):
             normalize_voice_part("X9")
+
+    @pytest.mark.parametrize("part", [3, ["Bass"]])
+    def test_non_string_rejected(self, part):
+        with pytest.raises(ValidationError, match="must be a string"):
+            normalize_voice_part(part)
 
 
 class TestDocumentRoundTrip:
@@ -147,10 +157,12 @@ class TestValidateDocument:
         ("ph_dur", float("nan"), "ph_dur[1]: must be a positive number (got nan)"),
         ("ph_dur", -0.0, "ph_dur[1]: must be a positive number (got -0.0)"),
         ("ph_dur", True, "ph_dur[1]: must be a positive number (got True)"),
+        ("ph_dur", float("inf"), "ph_dur[1]: must be a positive number (got inf)"),
         ("notes", 128, "notes[1]: must be a MIDI integer in 0..127 (got 128)"),
         ("notes", 60.0, "notes[1]: must be a MIDI integer in 0..127 (got 60.0)"),
         ("notes_dur", float("nan"), "notes_dur[1]: must be a nonnegative number (got nan)"),
         ("notes_dur", "0.4", "notes_dur[1]: must be a nonnegative number (got '0.4')"),
+        ("notes_dur", float("inf"), "notes_dur[1]: must be a nonnegative number (got inf)"),
         ("lang", False, "lang[1]: must be 0 or 1 (got False)"),
         ("style", 3, "style[1]: must be 0, 1, or 2 (got 3)"),
     ])
@@ -160,6 +172,12 @@ class TestValidateDocument:
         with pytest.raises(ValidationError) as err:
             validate_document(doc)
         assert err.value.failures == [failure]
+
+    def test_json_overflow_to_inf_rejected(self):
+        # json reads 1e309 as inf; a record holding it could not be written back as JSON.
+        doc = json.loads(dumps_annotation(sample_record()).replace("0.22", "1e309", 1))
+        with pytest.raises(ValidationError, match=r"ph_dur\[1\]"):
+            validate_document(doc)
 
     def test_zero_note_duration_and_int_values_pass(self):
         doc = sample_record().to_document()

@@ -58,6 +58,41 @@ class TestSeeds:
         assert derive_seed(0, "clip2") == 1671486379799484561
 
 
+def _square(x):
+    return x * x
+
+
+def _pid(_):
+    return os.getpid()
+
+
+class TestRunBatch:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_results_in_payload_order_when_size_reverses_it(self, workers):
+        seen = []
+        results = cli.run_batch(_square, [1, 2, 3, 4], workers, size=lambda p: p,
+                                stop=lambda r: seen.append(r))
+        assert results == [1, 4, 9, 16]
+        # One worker keeps payload order; a pool starts the largest first and
+        # tests stop on the results in the order it submitted them.
+        assert seen == ([1, 4, 9, 16] if workers == 1 else [16, 9, 4, 1])
+
+    def test_equal_sizes_keep_payload_order(self):
+        seen = []
+        cli.run_batch(_square, [1, 2, 3], 2, size=lambda p: 0, stop=lambda r: seen.append(r))
+        assert seen == [1, 4, 9]
+
+    def test_pool_only_for_more_than_one_payload(self):
+        assert cli.run_batch(_pid, [0], 4, size=abs) == [os.getpid()]
+        assert os.getpid() not in cli.run_batch(_pid, [0, 1], 2, size=abs)
+
+    def test_file_size_is_zero_for_a_path_that_cannot_be_stat_ed(self, tmp_path):
+        (tmp_path / "f").write_bytes(b"abc")
+        assert cli._file_size(str(tmp_path / "f")) == 3
+        for path in (5, None, str(tmp_path / "nope"), "a\0b"):
+            assert cli._file_size(path) == 0
+
+
 class TestParser:
     def test_no_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -366,7 +401,8 @@ class TestPseudo:
     def test_fail_fast_with_pool_reports_every_output(self, tmp_path):
         wav, tg = write_clip_files(tmp_path, utt_id="good")
         bad = tmp_path / "bad.wav"
-        bad.write_bytes(b"this is not audio")
+        bad.write_bytes(b"this is not audio" * 2**16)  # the largest file: started first
+        assert bad.stat().st_size > wav.stat().st_size
         utterances = [{"utt_id": "bad", "audio": str(bad), "textgrid": str(tg)}]
         utterances += [{"utt_id": f"good{i}", "audio": str(wav), "textgrid": str(tg)}
                        for i in range(9)]
@@ -381,6 +417,34 @@ class TestPseudo:
         assert {p.stem for p in outputs} <= {u for u, e in summary.items() if e["status"] == "ok"}
         rendered = [p for p in outputs if p.suffix == ".wav"]
         assert len(rendered) < len(utterances) - 1
+
+    def test_pool_isolates_missing_and_non_string_audio(self, tmp_path):
+        wav, tg = write_clip_files(tmp_path, utt_id="good")
+        manifest = write_json(tmp_path / "manifest.json", {"utterances": [
+            {"utt_id": "good0", "audio": str(wav), "textgrid": str(tg)},
+            {"utt_id": "missing", "audio": str(tmp_path / "nope.wav"), "textgrid": str(tg)},
+            {"utt_id": "number", "audio": 5, "textgrid": str(tg)},
+            {"utt_id": "good1", "audio": str(wav), "textgrid": str(tg)},
+        ]})
+        out_dir = tmp_path / "out"
+        assert main(["pseudo", "--manifest", manifest, "--workers", "2",
+                     "--output-dir", str(out_dir)]) == 2
+        summary = json.loads((out_dir / "summary.json").read_text())["utterances"]
+        assert {u: e["status"] for u, e in summary.items()} == {
+            "good0": "ok", "good1": "ok", "missing": "error", "number": "error"}
+        rendered = {p.name for p in out_dir.iterdir()}
+        assert rendered == {"good0.wav", "good0.json", "good1.wav", "good1.json", "summary.json"}
+
+    def test_singer_that_is_not_a_string_fails(self, tmp_path):
+        wav, tg = write_clip_files(tmp_path, utt_id="clip")
+        manifest = write_json(tmp_path / "manifest.json", {"utterances": [
+            {"utt_id": "clip", "audio": str(wav), "textgrid": str(tg), "singer": 3},
+        ]})
+        out_dir = tmp_path / "out"
+        assert main(["pseudo", "--manifest", manifest, "--output-dir", str(out_dir)]) == 2
+        summary = json.loads((out_dir / "summary.json").read_text())["utterances"]
+        assert "singer: must be a string" in summary["clip"]["error"]
+        assert not (out_dir / "clip.json").exists()
 
     def test_duplicate_utt_id_fails(self, tmp_path):
         wav, tg = write_clip_files(tmp_path, utt_id="clip")
@@ -705,6 +769,20 @@ _SCORE = ["transcode", "--score", "s.json"]
 _EVAL = ["eval", "--ref", "ref.json", "--hyp", "hyp.json"]
 _EVAL_REF = '{"utterances": [{"utt_id": "clip", "audio": "clip.wav", "text": "a b"}]}'
 _CUN_TG = serialize_textgrid([CUN_PHONES])
+_PSEUDO_MANIFEST = '{"utterances": [{"utt_id": "clip", "audio": "clip.wav", "textgrid": "t"}]}'
+_BANK = '{"templates": [{"id": "low", "steps": [[60, 1]]}]}'
+_PSEUDO_BANK = ["pseudo", "--manifest", "m.json", "--output-dir", "out", "--melody-bank", "b.json"]
+_SOURCES = '{"sources": [{"utt_id": "u1", "audio": "u1.wav", "voice_part": "Bass"}]}'
+_TARGETS = '{"targets": [{"singer": "t1", "voice_part": "Tenor"}]}'
+_PLAN = ["plan-svc", "--sources", "src.json", "--targets", "tgt.json"]
+_AVERAGE = ["adapt", "--input", "inf.json", "--strategy", "average"]
+
+
+def _record_doc(ph_dur="0.5", notes_dur="0.5"):
+    """One-record manifest text with the two durations spelled as given."""
+    return ('{"records": [{"utt_id": "u", "audio": "u.wav", "singer": "", "voice_part": null, '
+            f'"phs": ["a"], "is_slur": [0], "ph_dur": [{ph_dur}], "notes": [60], '
+            f'"notes_dur": [{notes_dur}], "lang": [1], "style": [1]}}]}}')
 
 
 @pytest.mark.parametrize("files, argv", [
@@ -748,6 +826,23 @@ _CUN_TG = serialize_textgrid([CUN_PHONES])
                  [*_PROPORTIONAL, "--alignment-dir", "tg"], id="textgrid-tier-count-inf"),
     pytest.param({"tg/cun.TextGrid": _CUN_TG.replace("size = 5\n", "size = nan\n")},
                  [*_PROPORTIONAL, "--alignment-dir", "tg"], id="textgrid-size-nan"),
+    pytest.param({"m.json": _PSEUDO_MANIFEST, "b.json": _BANK.replace("1]", '"x"]')},
+                 _PSEUDO_BANK, id="melody-step-length-string"),
+    pytest.param({"m.json": _PSEUDO_MANIFEST, "b.json": _BANK.replace("1]", "[1]]")},
+                 _PSEUDO_BANK, id="melody-step-length-list"),
+    pytest.param({"m.json": _PSEUDO_MANIFEST, "b.json": _BANK.replace("[[60, 1]]", "3")},
+                 _PSEUDO_BANK, id="melody-steps-number"),
+    pytest.param({"c.yaml": "1: 2\n"}, ["g2p", "--config", "c.yaml", "cat"],
+                 id="config-non-string-key"),
+    pytest.param({"c.yaml": "1: 2\nseed: 3\nnull: 4\n"}, ["g2p", "--config", "c.yaml", "cat"],
+                 id="config-mixed-key-types"),
+    pytest.param({"src.json": _SOURCES.replace('"Bass"', "3"), "tgt.json": _TARGETS},
+                 _PLAN, id="plan-svc-source-voice-part-number"),
+    pytest.param({"src.json": _SOURCES, "tgt.json": _TARGETS.replace('"Tenor"', "[1]")},
+                 _PLAN, id="plan-svc-target-voice-part-list"),
+    pytest.param({"inf.json": _record_doc(ph_dur="1e309")}, _AVERAGE, id="adapt-ph-dur-1e309"),
+    pytest.param({"inf.json": _record_doc(notes_dur="1e309")}, _AVERAGE,
+                 id="adapt-notes-dur-1e309"),
 ])
 def test_malformed_input_exits_2(tmp_path, files, argv):
     cun_manifest(tmp_path / "in.json")

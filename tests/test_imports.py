@@ -1,9 +1,10 @@
 """Each subcommand imports only what it runs.
 
 The text subcommands (g2p, transcode, adapt, plan-svc) start without numpy,
-and no command loads scipy, which is only a test dependency. Each check runs
-in a fresh interpreter, since this test process has long since imported
-everything.
+and no command loads scipy, which is only a test dependency. PyYAML is loaded
+only to read a --config file, and the process pool only when one starts.
+Each check runs in a fresh interpreter, since this test process has long
+since imported everything.
 """
 
 import json
@@ -19,12 +20,17 @@ from helpers import speech_clip, write_clip_files
 from test_cli import cun_manifest, write_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+# Loaded on use only: a config file, a process pool, per-utterance seeds.
+ON_USE = ("yaml", "multiprocessing", "concurrent.futures.process", "hashlib")
 
 
-def loaded_modules(code: str, cwd: Path) -> list[str]:
-    """Run code in a fresh interpreter; the numpy and scipy modules it loaded."""
-    probe = (code + "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules "
-             "if m.split('.')[0] == 'numpy' or m.startswith('scipy'))))")
+def loaded_modules(code: str, cwd: Path, roots=("numpy", "scipy")) -> list[str]:
+    """Run code in a fresh interpreter; the modules it loaded under the given roots
+    (a root itself or any module inside it)."""
+    probe = (code + "\nimport json, sys\n"
+             f"roots = {tuple(roots)!r}\n"
+             "print(json.dumps(sorted(m for m in sys.modules "
+             "if any(m == r or m.startswith(r + '.') for r in roots))))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
     proc = subprocess.run([sys.executable, "-c", probe], cwd=cwd, env=env,
@@ -39,7 +45,11 @@ def run_commands(argvs: list[list[str]]) -> str:
             "assert codes == [0] * len(codes), codes")
 
 
-def test_text_subcommands_load_no_numpy_or_scipy(tmp_path):
+def test_cli_import_loads_nothing_on_use_only(tmp_path):
+    assert loaded_modules("import singprep.cli", tmp_path, ON_USE) == []
+
+
+def text_commands(tmp_path) -> list[list[str]]:
     score = write_json(tmp_path / "score.json", {"events": [
         {"lyric": "wo", "lang": "cn", "note": 60, "dur": 0.5},
         {"lyric": "cat", "note": 64, "dur": 0.4},
@@ -63,9 +73,25 @@ def test_text_subcommands_load_no_numpy_or_scipy(tmp_path):
          "--alignment-dir", str(align), "--output", "prop.json"],
         ["plan-svc", "--sources", sources, "--targets", targets, "--output", "jobs.json"],
     ]
-    assert loaded_modules(run_commands(argvs), tmp_path) == []
+    return argvs
+
+
+def test_text_subcommands_load_no_numpy_or_scipy(tmp_path):
+    argvs = text_commands(tmp_path)
+    assert loaded_modules(run_commands(argvs), tmp_path, ("numpy", "scipy", *ON_USE)) == []
     for name in ("g2p.txt", "seq.json", "avg.json", "prop.json", "jobs.json"):
         assert (tmp_path / name).stat().st_size > 0
+
+
+def test_config_file_loads_yaml_and_is_applied(tmp_path):
+    argvs = text_commands(tmp_path)
+    (tmp_path / "cfg.yaml").write_text("strategy: proportional\n")
+    argvs.append(["adapt", "--config", "cfg.yaml", "--input", "in.json",
+                  "--alignment-dir", "align", "--output", "cfg.json"])
+    loaded = loaded_modules(run_commands(argvs), tmp_path, ("yaml",))
+    assert "yaml" in loaded
+    assert (tmp_path / "cfg.json").read_bytes() == (tmp_path / "prop.json").read_bytes()
+    assert (tmp_path / "cfg.json").read_bytes() != (tmp_path / "avg.json").read_bytes()
 
 
 def test_dsp_modules_load_numpy_and_no_scipy(tmp_path):
@@ -95,9 +121,11 @@ def test_eval_and_pseudo_run_without_scipy(tmp_path):
         {"utt_id": "clip", "audio": str(wav), "textgrid": str(tg)}]})
     argvs = [["eval", "--ref", ref, "--hyp", hyp, "--output", "report.json"],
              ["pseudo", "--manifest", manifest, "--output-dir", "out"]]
-    loaded = loaded_modules(_BLOCK_SCIPY + run_commands(argvs), tmp_path)
+    loaded = loaded_modules(_BLOCK_SCIPY + run_commands(argvs), tmp_path,
+                            ("numpy", "scipy", "yaml", "multiprocessing",
+                             "concurrent.futures.process"))
     assert "numpy" in loaded
-    assert not [m for m in loaded if m.startswith("scipy")]
+    assert [m for m in loaded if m.split(".")[0] != "numpy"] == []
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["per_utterance"]["clip"]["wer"] == 0.0
     for name in ("clip.wav", "clip.json", "summary.json"):

@@ -42,6 +42,11 @@ class TestMelodyTemplate:
         with pytest.raises(InputError):
             MelodyTemplate("t", ((60, 0.0),))
 
+    @pytest.mark.parametrize("length", [float("nan"), float("inf")])
+    def test_nonfinite_length_rejected(self, length):
+        with pytest.raises(InputError, match="positive and finite"):
+            MelodyTemplate("t", ((60, 1.0), (62, length)))
+
 
 class TestMelodyBank:
     def test_builtin_bank_has_ten_melodies(self, bank):
@@ -76,6 +81,18 @@ class TestMelodyBank:
         p = tmp_path / "bank.json"
         p.write_text(json.dumps({"templates": []}))
         with pytest.raises(InputError):
+            load_melody_bank(p)
+
+    @pytest.mark.parametrize("steps, message", [
+        ([[60, "1"]], "step length '1' is not a number"),
+        ([[60, None]], "step length None is not a number"),
+        ([[60, True]], "step length True is not a number"),
+        (7, "steps must be a list"),
+    ])
+    def test_malformed_steps_named(self, tmp_path, steps, message):
+        p = tmp_path / "bank.json"
+        p.write_text(json.dumps({"templates": [{"id": "a", "steps": steps}]}))
+        with pytest.raises(InputError, match=message):
             load_melody_bank(p)
 
 
