@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
-from .jsonio import dumps_document
+from .jsonio import dumps_document, list_entries, read_json
 from .score import PhonemeEvent
 
 VOICE_PARTS = ("Bass", "Baritone", "Tenor", "Alto", "Soprano")
@@ -170,14 +170,13 @@ def write_annotation(record: AnnotationRecord, path) -> None:
 
 
 def read_annotation(path) -> AnnotationRecord:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return AnnotationRecord.from_document(doc)
+    return AnnotationRecord.from_document(read_json(path))
 
 
 # -- manifests ---------------------------------------------------------------
-# A dataset is either one JSON document {"records": [...]} or a line-delimited
-# stream with one record object per line; both are accepted on read.
+# A dataset is one JSON document, {"records": [...]}, a bare list or a single
+# record object, or a JSON Lines stream with one record object per line. All
+# are accepted on read; the tools write the first.
 
 def read_manifest(path) -> list[AnnotationRecord]:
     text = Path(path).read_text(encoding="utf-8")
@@ -186,30 +185,28 @@ def read_manifest(path) -> list[AnnotationRecord]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError:
-        rows = []
+        doc = []
         for lineno, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
             try:
-                rows.append(json.loads(line))
+                doc.append(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}: line {lineno} is not valid JSON: {exc}") from None
     else:
-        if isinstance(doc, dict) and "records" in doc:
-            rows = doc["records"]
-        elif isinstance(doc, list):
-            rows = doc
-        else:
-            rows = [doc]
-    records = [AnnotationRecord.from_document(row) for row in rows]
+        if isinstance(doc, dict) and "records" not in doc:
+            doc = [doc]
+    records = []
     seen: set[str] = set()
-    failures = []
-    for r in records:
-        if r.utterance_id in seen:
-            failures.append(f"duplicate utt_id in manifest: {r.utterance_id}")
-        seen.add(r.utterance_id)
-    if failures:
-        raise ValidationError(failures)
+    for i, row in enumerate(list_entries(doc, "records", path)):
+        try:
+            record = AnnotationRecord.from_document(row)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: record {i}: {f}" for f in exc.failures) from None
+        if record.utterance_id in seen:
+            raise ValidationError([f"{path}: duplicate utt_id {record.utterance_id!r}"])
+        seen.add(record.utterance_id)
+        records.append(record)
     return records
 
 
@@ -217,9 +214,5 @@ def dumps_manifest(records: list[AnnotationRecord]) -> str:
     return dumps_document({"records": [r.to_document() for r in records]})
 
 
-def write_manifest(records: list[AnnotationRecord], path, line_delimited: bool = False) -> None:
-    if line_delimited:
-        lines = [json.dumps(r.to_document(), ensure_ascii=False) for r in records]
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-    else:
-        Path(path).write_text(dumps_manifest(records), encoding="utf-8")
+def write_manifest(records: list[AnnotationRecord], path) -> None:
+    Path(path).write_text(dumps_manifest(records), encoding="utf-8")

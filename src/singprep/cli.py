@@ -13,7 +13,6 @@ process pool and hashlib are likewise imported only where they are used.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -24,7 +23,7 @@ from .annotation import (AnnotationRecord, dumps_manifest, read_manifest, write_
                           write_manifest)
 from .config import STRATEGIES, PipelineConfig, resolve_config
 from .errors import InputError, ParseError, ValidationError
-from .jsonio import dumps_document
+from .jsonio import dumps_document, list_entries, read_json
 from .lexicon import (ENGLISH, MANDARIN, Lexicon, LyricToken, default_lexicon, g2p,
                       language_of, segment_lyrics)
 from .melody import choose_melody, load_melody_bank
@@ -67,7 +66,10 @@ def _build_lexicon(cfg: PipelineConfig) -> Lexicon:
         if path is not None:
             table.clear()
             with open(path, encoding="utf-8") as fh:
-                load(fh)
+                try:
+                    load(fh)
+                except ParseError as exc:
+                    raise ParseError(f"{path}: {exc}") from None
     return lex
 
 
@@ -123,26 +125,12 @@ def _write_text(text: str, path: str | None) -> None:
 
 def _read_entries(path, list_key: str, required: tuple[str, ...]) -> list[dict]:
     """A JSON manifest: either {list_key: [...]} or a bare list of objects."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON: {exc}") from None
-    if isinstance(doc, dict) and isinstance(doc.get(list_key), list):
-        entries = doc[list_key]
-    elif isinstance(doc, list):
-        entries = doc
-    else:
-        raise InputError(f"{path}: expected a list or an object with {list_key!r}")
-    out = []
+    entries = list_entries(read_json(path), list_key, path)
     for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise InputError(f"{path}: entry {i} is not an object")
         missing = [k for k in required if k not in entry]
         if missing:
             raise InputError(f"{path}: entry {i} missing fields: {', '.join(missing)}")
-        out.append(entry)
-    return out
+    return entries
 
 
 def _by_utt_id(entries: list[dict], path) -> dict[str, dict]:
@@ -308,7 +296,7 @@ def _pseudo_worker(payload: tuple) -> tuple[str, str, str]:
     entry, bank, seed, out_dir, hop = payload
     utt_id = entry["utt_id"]
     try:
-        wave = read_wav(entry["audio"], downmix=True)
+        wave = read_wav(entry["audio"])
         word_tier, phone_tier = _find_tiers(read_textgrid(entry["textgrid"]), entry["textgrid"])
         utt_seed = derive_seed(seed, utt_id)
         melody = choose_melody(bank, utt_seed)
@@ -371,6 +359,13 @@ def cmd_pseudo(args, cfg: PipelineConfig) -> int:
 def cmd_plan_svc(args, cfg: PipelineConfig) -> int:
     src_entries = _read_entries(args.sources, "sources", ("utt_id", "audio", "voice_part"))
     tgt_entries = _read_entries(args.targets, "targets", ("singer", "voice_part"))
+    for path, entries, keys in ((args.sources, src_entries, ("utt_id", "audio")),
+                                (args.targets, tgt_entries, ("singer",))):
+        for i, entry in enumerate(entries):
+            for key in keys:
+                if not isinstance(entry[key], str) or not entry[key]:
+                    raise InputError(f"{path}: entry {i}: {key} must be a nonempty string, "
+                                     f"got {entry[key]!r}")
     jobs = build_job_manifest(
         [(e["utt_id"], e["audio"], e["voice_part"]) for e in src_entries],
         [(e["singer"], e["voice_part"]) for e in tgt_entries],
@@ -393,8 +388,8 @@ def _eval_worker(payload: tuple) -> tuple[str, dict | None, str]:
 
     utt_id, ref_entry, hyp_entry = payload
     try:
-        ref = read_wav(ref_entry["audio"], downmix=True)
-        hyp = read_wav(hyp_entry["audio"], downmix=True)
+        ref = read_wav(ref_entry["audio"])
+        hyp = read_wav(hyp_entry["audio"])
         ref_tokens = hyp_tokens = None
         if "text" in ref_entry and "text" in hyp_entry:
             ref_tokens = tokenize_transcript(ref_entry["text"])

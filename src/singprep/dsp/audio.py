@@ -36,11 +36,9 @@ class Waveform:
         return self.samples.size
 
 
-def read_wav(path, downmix: bool = False) -> Waveform:
-    """Read a RIFF/WAVE file holding 16-bit PCM.
-
-    Multichannel input is an error unless downmix=True (mean of channels).
-    """
+def read_wav(path) -> Waveform:
+    """Read a RIFF/WAVE file holding 16-bit PCM; multichannel input is
+    downmixed to the mean of its channels."""
     try:
         with wave.open(str(path), "rb") as fh:
             nch = fh.getnchannels()
@@ -59,8 +57,6 @@ def read_wav(path, downmix: bool = False) -> Waveform:
         raise InputError(f"{path}: truncated WAV payload")
     data = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
     if nch > 1:
-        if not downmix:
-            raise InputError(f"{path}: {nch} channels; pass downmix=True for a mono mixdown")
         data = data.reshape(-1, nch).mean(axis=1)
     return Waveform(data, rate)
 

@@ -1,11 +1,35 @@
-"""The one indented-JSON writer for every document the toolkit emits.
+"""JSON in and out: the one file reader, the one list-document check, and the
+one indented writer for every document the toolkit emits.
 
-It imports nothing from the package, so every module can use it at top level.
+It imports only the error types, so every module can use it at top level.
 """
 
 from __future__ import annotations
 
 import json
+
+from .errors import ParseError
+
+
+def read_json(path):
+    """The document in the UTF-8 JSON file at path; ParseError if it is not JSON."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: invalid JSON: {exc}") from None
+
+
+def list_entries(doc, key: str, path) -> list[dict]:
+    """The entries of a list document, {key: [...]} or a bare list, each an object."""
+    if isinstance(doc, dict) and isinstance(doc.get(key), list):
+        doc = doc[key]
+    elif not isinstance(doc, list):
+        raise ParseError(f"{path}: expected a list or an object with {key!r}")
+    for i, entry in enumerate(doc):
+        if not isinstance(entry, dict):
+            raise ParseError(f"{path}: entry {i} is not an object")
+    return doc
 
 
 def dumps_document(doc) -> str:

@@ -93,9 +93,19 @@ class PhonemeSeq:
         return len(self.phonemes)
 
 
+def _table_rows(source: Iterable[str], what: str, comment: str):
+    """(line number, fields) for each line of a whitespace-separated table of
+    at least two columns; blank lines and lines starting with comment are skipped."""
+    for lineno, raw in enumerate(source, 1):
+        fields = raw.split()
+        if not fields or fields[0].startswith(comment):
+            continue
+        if len(fields) < 2:
+            raise ParseError(f"{what} line {lineno}: nothing after {fields[0]!r}")
+        yield lineno, fields
+
+
 def _check_phones(key: str, phones: list[str], lineno: int, what: str) -> tuple[str, ...]:
-    if not phones:
-        raise ParseError(f"{what} line {lineno}: entry {key!r} has no phonemes")
     for ph in phones:
         if ph not in CMU_PHONES:
             raise ParseError(
@@ -126,13 +136,7 @@ class Lexicon:
         Stress digits are stripped; alternate pronunciations WORD(2) are
         discarded (the first entry wins).
         """
-        for lineno, raw in enumerate(source, 1):
-            line = raw.strip()
-            if not line or line.startswith(";;;"):
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise ParseError(f"cmudict line {lineno}: no phonemes: {line!r}")
+        for lineno, parts in _table_rows(source, "cmudict", ";;;"):
             word = parts[0].upper()
             if "(" in word:  # alternate pronunciation: first entry wins
                 continue
@@ -142,13 +146,7 @@ class Lexicon:
 
     def load_pinyin_map(self, source: Iterable[str] | TextIO) -> "Lexicon":
         """Parse a two-column pinyin-to-CMU table: `pinyin PH1 PH2 ...`."""
-        for lineno, raw in enumerate(source, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise ParseError(f"pinyin map line {lineno}: no phonemes: {line!r}")
+        for lineno, parts in _table_rows(source, "pinyin map", "#"):
             key = parts[0].lower()
             if key in self.pinyin_entries:
                 log.warning("pinyin map line %d: duplicate key %r, last wins", lineno, key)
@@ -158,13 +156,9 @@ class Lexicon:
 
     def load_hanzi_table(self, source: Iterable[str] | TextIO) -> "Lexicon":
         """Parse a two-column `character pinyin` table (UTF-8)."""
-        for lineno, raw in enumerate(source, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
+        for lineno, parts in _table_rows(source, "hanzi table", "#"):
             if len(parts) != 2:
-                raise ParseError(f"hanzi table line {lineno}: expected 2 columns: {line!r}")
+                raise ParseError(f"hanzi table line {lineno}: expected 2 columns: {parts!r}")
             char, pinyin = parts
             if len(char) != 1 or not _is_han(char):
                 raise ParseError(f"hanzi table line {lineno}: not a Han character: {char!r}")

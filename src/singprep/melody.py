@@ -7,13 +7,13 @@ from pseudo so that loading and checking a bank needs no numerical library.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
 from importlib import resources
 
 from .errors import InputError, ParseError
+from .jsonio import list_entries, read_json
 
 DEFAULT_BANK_RESOURCE = "melodies.json"
 
@@ -32,9 +32,9 @@ class MelodyTemplate:
             raise InputError(f"melody {self.template_id!r}: steps must be nonempty")
         total = 0.0
         for midi, length in self.steps:
-            if not isinstance(midi, int) or isinstance(midi, bool) or midi <= 0:
+            if not isinstance(midi, int) or isinstance(midi, bool) or not 0 < midi <= 127:
                 raise InputError(
-                    f"melody {self.template_id!r}: note {midi!r} is not a positive integer"
+                    f"melody {self.template_id!r}: note {midi!r} is not a MIDI integer in 1..127"
                 )
             if not 0 < length < math.inf:
                 raise InputError(
@@ -74,36 +74,34 @@ class MelodyBank:
 def load_melody_bank(path=None) -> MelodyBank:
     """Load a melody bank from JSON; with no path, the bundled default."""
     if path is None:
-        text = (
-            resources.files("singprep.data").joinpath(DEFAULT_BANK_RESOURCE).read_text("utf-8")
-        )
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        path = resources.files("singprep.data") / DEFAULT_BANK_RESOURCE
+    doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: melody bank must be an object with a 'templates' list")
+    entries = list_entries(doc, "templates", path)
+    if not entries:
+        raise ParseError(f"{path}: melody bank contains no templates")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"melody bank is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or not isinstance(doc.get("templates"), list):
-        raise ParseError("melody bank must be an object with a 'templates' list")
-    templates = []
-    for entry in doc["templates"]:
-        if not isinstance(entry, dict) or "id" not in entry or "steps" not in entry:
-            raise ParseError(f"malformed melody entry: {entry!r}")
-        if not isinstance(entry["steps"], list):
-            raise ParseError(f"melody {entry['id']!r}: steps must be a list")
-        steps = []
-        for step in entry["steps"]:
-            if not isinstance(step, (list, tuple)) or len(step) != 2:
-                raise ParseError(f"melody {entry['id']!r}: step {step!r} is not a pair")
-            if isinstance(step[1], bool) or not isinstance(step[1], (int, float)):
-                raise ParseError(f"melody {entry['id']!r}: step length {step[1]!r} "
-                                 "is not a number")
-            steps.append((step[0], float(step[1])))
-        templates.append(MelodyTemplate(str(entry["id"]), tuple(steps)))
-    if not templates:
-        raise ParseError("melody bank contains no templates")
-    return MelodyBank(tuple(templates))
+        return MelodyBank(tuple(_template(entry) for entry in entries))
+    except InputError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
+def _template(entry: dict) -> MelodyTemplate:
+    """One bank entry, {"id": ..., "steps": [[note, length], ...]}."""
+    if "id" not in entry or "steps" not in entry:
+        raise ParseError(f"malformed melody entry: {entry!r}")
+    if not isinstance(entry["steps"], list):
+        raise ParseError(f"melody {entry['id']!r}: steps must be a list")
+    steps = []
+    for step in entry["steps"]:
+        if not isinstance(step, (list, tuple)) or len(step) != 2:
+            raise ParseError(f"melody {entry['id']!r}: step {step!r} is not a pair")
+        if isinstance(step[1], bool) or not isinstance(step[1], (int, float)):
+            raise ParseError(f"melody {entry['id']!r}: step length {step[1]!r} "
+                             "is not a number")
+        steps.append((step[0], float(step[1])))
+    return MelodyTemplate(str(entry["id"]), tuple(steps))
 
 
 def choose_melody(bank: MelodyBank, seed: int) -> MelodyTemplate:

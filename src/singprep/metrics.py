@@ -128,38 +128,36 @@ def dtw_align(a: McepFrames, b: McepFrames) -> list[tuple[int, int]]:
     each cell depends only on diagonals ``k-1`` and ``k-2``, so a diagonal
     is one vectorized ``d + min(diag, up, left)``. That is the same single
     addition per cell as a row-by-row fill, so the costs are bit-identical
-    to it. Memory is the distance and accumulator matrices, two n x m
-    float64 arrays (about 16*n*m bytes): a 60 s pair (4800 x 4800 frames)
-    needs about 370 MB.
+    to it. The distances are built in one n x m float64 array and each cell
+    is accumulated in place once its diagonal is reached, so memory is about
+    8*n*m bytes: a 60 s pair (4800 x 4800 frames) needs about 185 MB.
     """
     if len(a) == 0 or len(b) == 0:
         raise InputError("cannot align empty frame sequences")
     av, bv = a.frames, b.frames
-    d = np.sqrt(
-        np.maximum(
-            np.sum(av * av, axis=1)[:, None]
-            - 2.0 * (av @ bv.T)
-            + np.sum(bv * bv, axis=1)[None, :],
-            0.0,
-        )
-    )
-    n, m = d.shape
-    acc = np.empty((n, m))
-    acc[0] = np.cumsum(d[0])
-    acc[:, 0] = np.cumsum(d[:, 0])
+    # The distances (|a|^2 - 2 a.b) + |b|^2, built in place with the
+    # expression's rounding; the cost then overwrites them, row 0 and
+    # column 0 first, then one anti-diagonal at a time.
+    acc = av @ bv.T
+    acc *= -2.0
+    acc += np.sum(av * av, axis=1)[:, None]
+    acc += np.sum(bv * bv, axis=1)[None, :]
+    np.maximum(acc, 0.0, out=acc)
+    np.sqrt(acc, out=acc)
+    n, m = acc.shape
+    np.cumsum(acc[0], out=acc[0])
+    np.cumsum(acc[:, 0], out=acc[:, 0])
     if n > 1 and m > 1:
         # In the flattened matrix cell (i, k - i) sits at i*(m-1) + k, so a
         # diagonal and its three predecessors are slices with step m - 1.
-        flat, dflat, s = acc.reshape(-1), d.reshape(-1), m - 1
+        flat, s = acc.reshape(-1), m - 1
         for k in range(2, n + m - 1):
             start = max(1, k - s) * s + k
             stop = min(n - 1, k - 1) * s + k + 1
             diag = flat[start - m - 1 : stop - m - 1 : s]
             up = flat[start - m : stop - m : s]
             left = flat[start - 1 : stop - 1 : s]
-            flat[start:stop:s] = dflat[start:stop:s] + np.minimum(
-                np.minimum(diag, up), left
-            )
+            flat[start:stop:s] += np.minimum(np.minimum(diag, up), left)
 
     path = [(n - 1, m - 1)]
     i, j = n - 1, m - 1

@@ -16,7 +16,6 @@ time to within float round-off.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from bisect import bisect_right
@@ -26,7 +25,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import InputError, OovError, ParseError
-from .jsonio import dumps_document
+from .jsonio import dumps_document, read_json
 from .lexicon import CMU_PHONES, CMU_VOWELS, ENGLISH, Lexicon, LyricToken, token_phones
 from .textgrid import AlignmentTier
 
@@ -172,14 +171,13 @@ def transform_score(score: Sequence[ScoreEvent], lexicon: Lexicon) -> Transforme
 class RatioTable:
     """Duration split ratios per Pinyin unit, learned from forced alignment.
 
-    A unit marked as fallback (alignment did not match) answers None; the
-    consumer then does an equal split. ``misses`` counts, per unit as
+    A unit with no ratio, or one learned for another expansion, answers None;
+    the consumer then does an equal split. ``misses`` counts, per unit as
     written, the events that adaptation split equally for want of a ratio.
     """
 
     def __init__(self):
         self._weights: dict[str, tuple[tuple[str, ...], tuple[float, ...]]] = {}
-        self._fallback: set[str] = set()
         self.misses: Counter[str] = Counter()
 
     def set(self, unit: str, expansion: Sequence[str], weights: Sequence[float]) -> None:
@@ -193,19 +191,12 @@ class RatioTable:
         if abs(total - 1.0) > 1e-9:
             raise InputError(f"weights sum to {total}, expected 1")
         self._weights[unit.lower()] = (expansion, weights)
-        self._fallback.discard(unit.lower())
-
-    def mark_fallback(self, unit: str) -> None:
-        self._fallback.add(unit.lower())
 
     def get(self, unit: str, expansion: Sequence[str]) -> tuple[float, ...] | None:
         hit = self._weights.get(unit.lower())
         if hit is None or hit[0] != tuple(expansion):
             return None
         return hit[1]
-
-    def units(self) -> list[str]:
-        return sorted(set(self._weights) | self._fallback)
 
     @classmethod
     def average(cls, tables: Iterable["RatioTable"]) -> "RatioTable":
@@ -253,12 +244,11 @@ class RatioTable:
 
     @classmethod
     def load(cls, path) -> "RatioTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: invalid JSON: {exc}") from None
-        return cls.from_dict(doc)
+        doc = read_json(path)
+        try:
+            return cls.from_dict(doc)
+        except ParseError as exc:
+            raise ParseError(f"{path}: {exc}") from None
 
 
 def _expansion_weights(
@@ -393,10 +383,10 @@ def extract_ratios(
     """Duration ratios per Pinyin unit from a forced-alignment phone tier.
 
     The aligned phone sequence (silences removed, stress stripped) must equal
-    the concatenation of the expected expansions; on mismatch every expected
-    unit is marked fallback. Zero-duration aligned phones are floored at one
-    frame before normalizing. A unit aligned more than once gets the mean of
-    its per-occurrence weights.
+    the concatenation of the expected expansions; on mismatch the table is
+    empty, so every unit falls back to an even split. Zero-duration aligned
+    phones are floored at one frame before normalizing. A unit aligned more
+    than once gets the mean of its per-occurrence weights.
     """
     table = RatioTable()
     aligned = [
@@ -410,8 +400,6 @@ def extract_ratios(
             "alignment mismatch on tier %r: %d aligned phones vs %d expected",
             alignment.name, len(aligned), len(concat),
         )
-        for unit, _ in expected:
-            table.mark_fallback(unit)
         return table
 
     per_unit: dict[str, tuple[tuple[str, ...], list[list[float]]]] = {}

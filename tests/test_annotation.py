@@ -208,7 +208,7 @@ class TestManifest:
     def test_line_delimited_form(self, tmp_path):
         recs = [sample_record("u1"), sample_record("u2")]
         p = tmp_path / "m.jsonl"
-        write_manifest(recs, p, line_delimited=True)
+        p.write_text("".join(json.dumps(r.to_document()) + "\n" for r in recs))
         assert read_manifest(p) == recs
         assert len(p.read_text().strip().splitlines()) == 2
 
@@ -221,13 +221,12 @@ class TestManifest:
         recs = [sample_record("u1"), sample_record("u1")]
         p = tmp_path / "m.json"
         p.write_text(json.dumps({"records": [r.to_document() for r in recs]}))
-        with pytest.raises(ValidationError, match="duplicate"):
+        with pytest.raises(ValidationError, match="m.json: duplicate utt_id 'u1'"):
             read_manifest(p)
 
     def test_bad_line_delimited_row_names_its_line(self, tmp_path):
         p = tmp_path / "m.jsonl"
-        write_manifest([sample_record("u1")], p, line_delimited=True)
-        p.write_text(p.read_text() + "\n{not json\n")
+        p.write_text(json.dumps(sample_record("u1").to_document()) + "\n\n{not json\n")
         with pytest.raises(ParseError, match="line 3"):
             read_manifest(p)
 
@@ -235,6 +234,26 @@ class TestManifest:
         p = tmp_path / "m.json"
         p.write_text(json.dumps([sample_record("u1").to_document()]))
         assert len(read_manifest(p)) == 1
+
+    @pytest.mark.parametrize("text, error, message", [
+        ('{"records": 5}', ParseError, "expected a list or an object with 'records'"),
+        ('{"records": null}', ParseError, "expected a list or an object with 'records'"),
+        ("[5]", ParseError, "entry 0 is not an object"),
+        ('{"a": 1}\n7\n', ParseError, "entry 1 is not an object"),
+        ('{"records": [{"utt_id": "u"}]}', ValidationError, "record 0: phs: missing field"),
+    ])
+    def test_malformed_manifest_names_its_file(self, tmp_path, text, error, message):
+        p = tmp_path / "m.json"
+        p.write_text(text)
+        with pytest.raises(error) as err:
+            read_manifest(p)
+        assert f"{p}: {message}" in str(err.value)
+
+    def test_read_annotation_bad_json_is_a_parse_error(self, tmp_path):
+        p = tmp_path / "a.json"
+        p.write_text("{not json")
+        with pytest.raises(ParseError, match="invalid JSON"):
+            read_annotation(p)
 
 
 def test_voice_parts_are_the_five_registers():

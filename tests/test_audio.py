@@ -59,16 +59,14 @@ class TestReadErrors:
         with pytest.raises(InputError, match="16-bit"):
             read_wav(p)
 
-    def test_stereo_requires_downmix(self, tmp_path):
+    def test_stereo_is_downmixed(self, tmp_path):
         p = tmp_path / "st.wav"
         with wave.open(str(p), "wb") as fh:
             fh.setnchannels(2)
             fh.setsampwidth(2)
             fh.setframerate(8000)
             fh.writeframes(struct.pack("<4h", 100, 300, -100, -300))
-        with pytest.raises(InputError, match="downmix"):
-            read_wav(p)
-        mixed = read_wav(p, downmix=True)
+        mixed = read_wav(p)
         assert mixed.samples == pytest.approx(np.array([200, -200]) / 32768.0)
 
 

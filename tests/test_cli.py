@@ -776,6 +776,7 @@ _SOURCES = '{"sources": [{"utt_id": "u1", "audio": "u1.wav", "voice_part": "Bass
 _TARGETS = '{"targets": [{"singer": "t1", "voice_part": "Tenor"}]}'
 _PLAN = ["plan-svc", "--sources", "src.json", "--targets", "tgt.json"]
 _AVERAGE = ["adapt", "--input", "inf.json", "--strategy", "average"]
+_ADAPT_M = ["adapt", "--input", "m.json", "--strategy", "average"]
 
 
 def _record_doc(ph_dur="0.5", notes_dur="0.5"):
@@ -840,11 +841,46 @@ def _record_doc(ph_dur="0.5", notes_dur="0.5"):
                  _PLAN, id="plan-svc-source-voice-part-number"),
     pytest.param({"src.json": _SOURCES, "tgt.json": _TARGETS.replace('"Tenor"', "[1]")},
                  _PLAN, id="plan-svc-target-voice-part-list"),
+    pytest.param({"src.json": _SOURCES.replace('"u1"', "5"), "tgt.json": _TARGETS},
+                 _PLAN, id="plan-svc-source-utt-id-number"),
+    pytest.param({"src.json": _SOURCES.replace('"u1.wav"', '["x"]'), "tgt.json": _TARGETS},
+                 _PLAN, id="plan-svc-source-audio-list"),
+    pytest.param({"src.json": _SOURCES, "tgt.json": _TARGETS.replace('"t1"', "null")},
+                 _PLAN, id="plan-svc-target-singer-null"),
     pytest.param({"inf.json": _record_doc(ph_dur="1e309")}, _AVERAGE, id="adapt-ph-dur-1e309"),
     pytest.param({"inf.json": _record_doc(notes_dur="1e309")}, _AVERAGE,
                  id="adapt-notes-dur-1e309"),
 ])
 def test_malformed_input_exits_2(tmp_path, files, argv):
+    stderr = _run_main(tmp_path, files, argv)
+    assert any(line.startswith("ERROR ") for line in stderr.splitlines()), stderr
+
+
+@pytest.mark.parametrize("files, argv, name", [
+    pytest.param({"m.json": '{"records": 5}'}, _ADAPT_M,
+                 "m.json", id="adapt-records-number"),
+    pytest.param({"m.json": '{"records": null}'}, _ADAPT_M,
+                 "m.json", id="adapt-records-null"),
+    pytest.param({"m.json": "[5]"}, _ADAPT_M,
+                 "m.json", id="adapt-record-number"),
+    pytest.param({"m.json": _PSEUDO_MANIFEST, "b.json": "{not json"}, _PSEUDO_BANK,
+                 "b.json", id="melody-bank-not-json"),
+    pytest.param({"m.json": _PSEUDO_MANIFEST, "b.json": _BANK.replace("60", "128")},
+                 _PSEUDO_BANK, "b.json", id="melody-note-128"),
+    pytest.param({"r.json": '{"c": {"phones": ["T", "S"]}}'}, _RATIOS, "r.json",
+                 id="ratios-missing-weights"),
+    pytest.param({"c.yaml": "cmu_dict: d.txt\n", "d.txt": "CAT  K AE1 T\nBROKEN\n"},
+                 ["g2p", "--config", "c.yaml", "cat"], "d.txt", id="config-cmu-dict-bad-line"),
+])
+def test_input_error_names_its_file(tmp_path, files, argv, name):
+    stderr = _run_main(tmp_path, files, argv)
+    errors = [line for line in stderr.splitlines() if line.startswith("ERROR ")]
+    assert len(errors) == 1 and errors[0].startswith(f"ERROR {name}: "), stderr
+
+
+def _run_main(tmp_path, files, argv) -> str:
+    """Run the CLI in a child process on the given files; assert exit code 2
+    and no traceback, and return its stderr."""
     cun_manifest(tmp_path / "in.json")
     write_wav(sine(220.0, 0.5), tmp_path / "clip.wav")
     (tmp_path / "dir").mkdir()
@@ -859,5 +895,5 @@ def test_malformed_input_exits_2(tmp_path, files, argv):
          "sys.exit(main(sys.argv[1:]))", *argv],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2, proc.stderr
-    assert any(line.startswith("ERROR ") for line in proc.stderr.splitlines()), proc.stderr
     assert "Traceback" not in proc.stderr
+    return proc.stderr

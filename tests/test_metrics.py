@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,6 +161,34 @@ def test_dtw_align_oracle_property(n, m, seed, integer):
     else:
         a, b = rng.standard_normal((n, 3)), rng.standard_normal((m, 3))
     assert_matches_oracle(McepFrames(a, MCEP_HOP, 3), McepFrames(b, MCEP_HOP, 3))
+
+
+_DTW_RSS_SCRIPT = """
+import numpy as np
+from singprep.metrics import McepFrames, dtw_align
+def peak_kb():
+    return next(int(line.split()[1]) for line in open("/proc/self/status")
+                if line.startswith("VmHWM:"))
+rng = np.random.default_rng(0)
+a, b = rng.standard_normal((3000, 13)), rng.standard_normal((2800, 13))
+dtw_align(McepFrames(a[:50]), McepFrames(b[:40]))  # load BLAS first
+before = peak_kb()
+dtw_align(McepFrames(a), McepFrames(b))
+print(peak_kb() - before)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc")
+def test_dtw_memory_is_one_cost_matrix():
+    # 3000 x 2800 float64 cells are 64 MB. A separate distance and cost
+    # matrix grew the peak by 129 MB; building both in one array, by 65 MB.
+    # VmHWM is read in a child so the test process's own peak does not count.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", _DTW_RSS_SCRIPT],
+                          capture_output=True, text=True, env=env, check=True)
+    assert int(done.stdout) / 1024 <= 96  # VmHWM is in kB
 
 
 class TestMcepFramesValidation:

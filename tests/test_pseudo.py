@@ -38,6 +38,11 @@ class TestMelodyTemplate:
         with pytest.raises(InputError):
             MelodyTemplate("t", ((0, 1.0),))
 
+    def test_note_above_midi_range_rejected(self):
+        MelodyTemplate("t", ((127, 1.0),))
+        with pytest.raises(InputError, match="'t': note 128 is not a MIDI integer in 1..127"):
+            MelodyTemplate("t", ((60, 1.0), (128, 1.0)))
+
     def test_nonpositive_length_rejected(self):
         with pytest.raises(InputError):
             MelodyTemplate("t", ((60, 0.0),))
@@ -82,6 +87,17 @@ class TestMelodyBank:
         p.write_text(json.dumps({"templates": []}))
         with pytest.raises(InputError):
             load_melody_bank(p)
+
+    @pytest.mark.parametrize("text", [
+        "{not json", "[]", '{"templates": [3]}', '{"templates": [{"id": "a"}]}',
+        '{"templates": [{"id": "a", "steps": [[200, 1]]}]}',
+    ])
+    def test_bank_errors_name_the_file(self, tmp_path, text):
+        p = tmp_path / "bank.json"
+        p.write_text(text)
+        with pytest.raises(InputError) as err:
+            load_melody_bank(p)
+        assert str(err.value).startswith(f"{p}: ")
 
     @pytest.mark.parametrize("steps, message", [
         ([[60, "1"]], "step length '1' is not a number"),

@@ -216,7 +216,6 @@ class TestExtractRatios:
         tier = AlignmentTier("phones", (Interval(0.0, 0.2, "K"),))
         rt = extract_ratios(tier, [("c", ("T", "S"))])
         assert rt.get("c", ("T", "S")) is None
-        assert "c" in rt.units()
 
     def test_zero_duration_floored(self):
         tier = AlignmentTier("phones", (
