@@ -46,7 +46,6 @@ from .score import (
     adapt_average,
     adapt_proportional,
     extract_ratios,
-    substitute_missing,
     transform_score,
 )
 from .svc import (
@@ -55,7 +54,6 @@ from .svc import (
     ConversionJob,
     build_job_manifest,
     plan_conversion,
-    write_job_manifest,
 )
 from .textgrid import (
     AlignmentTier,
@@ -71,11 +69,11 @@ from .textgrid import (
 _LAZY = {
     **dict.fromkeys(
         ("EvalReport", "McepFrames", "cosine_sim", "dtw_align", "evaluate_pair", "f0_rmse",
-         "mcd", "mcd_from_frames", "mcep", "semitone_accuracy", "tokenize_transcript",
+         "mcd_from_frames", "mcep", "semitone_accuracy", "tokenize_transcript",
          "vuv_error", "wer"),
         "metrics",
     ),
-    **dict.fromkeys(("annotate_speech", "make_pseudo_singing", "render_melody"), "pseudo"),
+    **dict.fromkeys(("make_pseudo_singing", "render_melody"), "pseudo"),
 }
 
 
@@ -116,7 +114,6 @@ __all__ = [
     "ValidationError",
     "adapt_average",
     "adapt_proportional",
-    "annotate_speech",
     "build_job_manifest",
     "choose_melody",
     "cosine_sim",
@@ -129,7 +126,6 @@ __all__ = [
     "g2p",
     "load_melody_bank",
     "make_pseudo_singing",
-    "mcd",
     "mcd_from_frames",
     "mcep",
     "parse_textgrid",
@@ -142,14 +138,12 @@ __all__ = [
     "semitone_accuracy",
     "serialize_textgrid",
     "split_pinyin",
-    "substitute_missing",
     "tokenize_transcript",
     "transform_score",
     "validate_document",
     "vuv_error",
     "wer",
     "write_annotation",
-    "write_job_manifest",
     "write_manifest",
     "write_textgrid",
 ]

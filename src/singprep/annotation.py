@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
-from .jsonio import dumps_document, list_entries, read_json
+from .jsonio import dumps_document, list_entries, read_json, read_text
 from .score import PhonemeEvent
 
 VOICE_PARTS = ("Bass", "Baritone", "Tenor", "Alto", "Soprano")
@@ -50,27 +50,17 @@ def normalize_voice_part(part: str | None) -> str | None:
 
 @dataclass
 class AnnotationRecord:
-    """One annotated utterance. voice_part may be None for speech corpora."""
+    """One annotated utterance. voice_part may be None for speech corpora.
+
+    The record checks nothing itself: validate_document checks every
+    document read, and each PhonemeEvent checks its own duration and tokens.
+    """
 
     utterance_id: str
     audio_path: str
     events: tuple[PhonemeEvent, ...]
     singer_id: str = ""
     voice_part: str | None = None
-
-    def __post_init__(self):
-        self.events = tuple(self.events)
-        failures = []
-        if not isinstance(self.singer_id, str):
-            failures.append(f"singer: must be a string, got {self.singer_id!r}")
-        if not self.utterance_id:
-            failures.append("utt_id: must be nonempty")
-        if not self.events:
-            failures.append("phs: event list must be nonempty")
-        if self.voice_part is not None and self.voice_part not in VOICE_PARTS:
-            failures.append(f"voice_part: unknown part {self.voice_part!r}")
-        if failures:
-            raise ValidationError(failures)
 
     def total_duration(self) -> float:
         return sum(e.ph_dur for e in self.events)
@@ -93,12 +83,12 @@ class AnnotationRecord:
     @classmethod
     def from_document(cls, doc: dict) -> "AnnotationRecord":
         validate_document(doc)
-        events = [
+        events = tuple(
             PhonemeEvent(ph, dur, note, note_dur, bool(slur), lang, style)
             for ph, dur, note, note_dur, slur, lang, style in zip(
                 doc["phs"], doc["ph_dur"], doc["notes"], doc["notes_dur"],
                 doc["is_slur"], doc["lang"], doc["style"])
-        ]
+        )
         return cls(
             utterance_id=doc["utt_id"],
             audio_path=doc["audio"],
@@ -179,7 +169,7 @@ def read_annotation(path) -> AnnotationRecord:
 # are accepted on read; the tools write the first.
 
 def read_manifest(path) -> list[AnnotationRecord]:
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     if not text.strip():
         return []
     try:

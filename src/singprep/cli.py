@@ -19,11 +19,11 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .annotation import (AnnotationRecord, dumps_manifest, read_manifest, write_annotation,
-                          write_manifest)
+from .annotation import (AnnotationRecord, dumps_manifest, normalize_voice_part, read_manifest,
+                          write_annotation, write_manifest)
 from .config import STRATEGIES, PipelineConfig, resolve_config
 from .errors import InputError, ParseError, ValidationError
-from .jsonio import dumps_document, list_entries, read_json
+from .jsonio import dumps_document, list_entries, read_json, read_text
 from .lexicon import (ENGLISH, MANDARIN, Lexicon, LyricToken, default_lexicon, g2p,
                       language_of, segment_lyrics)
 from .melody import choose_melody, load_melody_bank
@@ -68,7 +68,7 @@ def _build_lexicon(cfg: PipelineConfig) -> Lexicon:
             with open(path, encoding="utf-8") as fh:
                 try:
                     load(fh)
-                except ParseError as exc:
+                except (ParseError, UnicodeDecodeError) as exc:
                     raise ParseError(f"{path}: {exc}") from None
     return lex
 
@@ -150,7 +150,7 @@ def _by_utt_id(entries: list[dict], path) -> dict[str, dict]:
 
 def cmd_g2p(args, cfg: PipelineConfig) -> int:
     if args.input is not None:
-        text = Path(args.input).read_text(encoding="utf-8")
+        text = read_text(args.input)
     elif args.text:
         text = " ".join(args.text)
     else:
@@ -195,7 +195,11 @@ def _score_events(path) -> list[ScoreEvent]:
 
 def cmd_transcode(args, cfg: PipelineConfig) -> int:
     lexicon = _build_lexicon(cfg)
-    result = transform_score(_score_events(args.score), lexicon)
+    events = _score_events(args.score)
+    try:
+        result = transform_score(events, lexicon)
+    except ParseError as exc:
+        raise ParseError(f"{args.score}: {exc}") from None
     _write_text(dumps_document(result.to_dict()), args.output)
     return EXIT_OK
 
@@ -263,7 +267,7 @@ def cmd_adapt(args, cfg: PipelineConfig) -> int:
         )
         adapted.append(
             AnnotationRecord(
-                record.utterance_id, record.audio_path, events,
+                record.utterance_id, record.audio_path, tuple(events),
                 record.singer_id, record.voice_part,
             )
         )
@@ -296,6 +300,9 @@ def _pseudo_worker(payload: tuple) -> tuple[str, str, str]:
     entry, bank, seed, out_dir, hop = payload
     utt_id = entry["utt_id"]
     try:
+        singer = entry.get("singer", "")
+        if not isinstance(singer, str):
+            raise ValidationError([f"singer: must be a string, got {singer!r}"])
         wave = read_wav(entry["audio"])
         word_tier, phone_tier = _find_tiers(read_textgrid(entry["textgrid"]), entry["textgrid"])
         utt_seed = derive_seed(seed, utt_id)
@@ -303,7 +310,7 @@ def _pseudo_worker(payload: tuple) -> tuple[str, str, str]:
         rendered, record = make_pseudo_singing(
             wave, word_tier, phone_tier, melody, utt_seed,
             utt_id=utt_id, audio_path=f"{utt_id}.wav",
-            singer_id=entry.get("singer", ""), hop=hop,
+            singer_id=singer, hop=hop,
         )
         write_wav(rendered, Path(out_dir) / f"{utt_id}.wav")
         write_annotation(record, Path(out_dir) / f"{utt_id}.json")
@@ -366,6 +373,10 @@ def cmd_plan_svc(args, cfg: PipelineConfig) -> int:
                 if not isinstance(entry[key], str) or not entry[key]:
                     raise InputError(f"{path}: entry {i}: {key} must be a nonempty string, "
                                      f"got {entry[key]!r}")
+            try:
+                entry["voice_part"] = normalize_voice_part(entry["voice_part"])
+            except ValidationError as exc:
+                raise ValidationError(f"{path}: entry {i}: {f}" for f in exc.failures) from None
     jobs = build_job_manifest(
         [(e["utt_id"], e["audio"], e["voice_part"]) for e in src_entries],
         [(e["singer"], e["voice_part"]) for e in tgt_entries],

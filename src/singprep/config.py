@@ -56,6 +56,8 @@ def load_config_file(path) -> dict:
             doc = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ParseError(f"{path}: invalid YAML: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: {exc}") from None
     if doc is None:
         return {}
     if not isinstance(doc, dict):

@@ -3,7 +3,6 @@
 from .audio import Waveform, read_wav, resample, write_wav
 from .pitch import (
     F0Contour,
-    average_f0_by_segments,
     extract_f0,
     frame_count,
     hz_from_midi,
@@ -24,7 +23,6 @@ __all__ = [
     "F0Contour",
     "Waveform",
     "analyze",
-    "average_f0_by_segments",
     "band_edges",
     "extract_f0",
     "frame_count",

@@ -193,23 +193,3 @@ def transpose_f0(contour: F0Contour, semitones: float, max_hz: float | None = No
         )
         values = np.minimum(values, max_hz)
     return F0Contour(values, contour.hop)
-
-
-def average_f0_by_segments(
-    contour: F0Contour, segments: list[tuple[float, float]]
-) -> list[tuple[tuple[float, float], int]]:
-    """Per segment: geometric-mean pitch of voiced frames as an integer MIDI
-    note, or 0 (rest) when the segment has no voiced frames."""
-    out = []
-    n = len(contour)
-    for start, end in segments:
-        i0 = max(0, int(math.ceil(start / contour.hop - 1e-9)))
-        i1 = min(n, int(math.ceil(end / contour.hop - 1e-9)))
-        chunk = contour.values[i0:i1]
-        voiced = chunk[chunk > 0]
-        if voiced.size == 0:
-            out.append(((start, end), 0))
-        else:
-            mean_log = float(np.mean(np.log2(voiced)))
-            out.append(((start, end), nearest_midi(2.0 ** mean_log)))
-    return out

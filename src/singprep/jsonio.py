@@ -1,5 +1,6 @@
-"""JSON in and out: the one file reader, the one list-document check, and the
-one indented writer for every document the toolkit emits.
+"""JSON in and out: the one UTF-8 text reader, the one JSON file reader, the
+one list-document check, and the one indented writer for every document the
+toolkit emits.
 
 It imports only the error types, so every module can use it at top level.
 """
@@ -11,13 +12,21 @@ import json
 from .errors import ParseError
 
 
-def read_json(path):
-    """The document in the UTF-8 JSON file at path; ParseError if it is not JSON."""
+def read_text(path) -> str:
+    """The text of the UTF-8 file at path; ParseError naming it if it is not UTF-8."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON: {exc}") from None
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: {exc}") from None
+
+
+def read_json(path):
+    """The document in the UTF-8 JSON file at path; ParseError if it is not JSON."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
 
 def list_entries(doc, key: str, path) -> list[dict]:

@@ -126,7 +126,6 @@ class Lexicon:
     english_entries: dict[str, tuple[str, ...]] = field(default_factory=dict)
     pinyin_entries: dict[str, tuple[str, ...]] = field(default_factory=dict)
     hanzi_readings: dict[str, str] = field(default_factory=dict)
-    initials_table: tuple[str, ...] = DEFAULT_INITIALS
 
     # -- loading ----------------------------------------------------------
 
@@ -180,7 +179,7 @@ class Lexicon:
         hit = self.pinyin_entries.get(syl)
         if hit is not None:
             return hit
-        initial, final = split_pinyin(syl, self.initials_table)
+        initial, final = split_pinyin(syl)
         # Written "u" after j/q/x/y denotes the umlaut series (ü, spelled v
         # in the unit table): que = q + ve, xun = x + vn.
         if initial in ("j", "q", "x", "y") and final.startswith("u"):
@@ -214,20 +213,20 @@ class Lexicon:
         return phones
 
     def is_initial(self, unit: str) -> bool:
-        return unit.lower() in self.initials_table
+        return unit.lower() in DEFAULT_INITIALS
 
 
-def split_pinyin(syllable: str, initials_table: tuple[str, ...] = DEFAULT_INITIALS) -> tuple[str, str]:
+def split_pinyin(syllable: str) -> tuple[str, str]:
     """Split a toneless Pinyin syllable into (initial, final).
 
-    The initial is the longest table prefix (empty for zero-initial
+    The initial is the longest DEFAULT_INITIALS prefix (empty for zero-initial
     syllables such as "an"); the final is the nonempty remainder.
     """
     syl = syllable.lower().strip()
     if not syl:
         raise ParseError("empty pinyin syllable")
     initial = ""
-    for cand in initials_table:  # table orders two-letter initials first
+    for cand in DEFAULT_INITIALS:  # two-letter initials come first
         if syl.startswith(cand):
             initial = cand
             break

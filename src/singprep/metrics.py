@@ -179,20 +179,12 @@ def dtw_align(a: McepFrames, b: McepFrames) -> list[tuple[int, int]]:
     return path
 
 
-def mcd_from_frames(
-    a: McepFrames, b: McepFrames, path: list[tuple[int, int]] | None = None
-) -> float:
+def mcd_from_frames(a: McepFrames, b: McepFrames, path: list[tuple[int, int]]) -> float:
     """Mean mel-cepstral distortion in dB over an alignment path."""
-    if path is None:
-        path = dtw_align(a, b)
     idx_a = np.fromiter((p[0] for p in path), int, len(path))
     idx_b = np.fromiter((p[1] for p in path), int, len(path))
     diff = a.frames[idx_a] - b.frames[idx_b]
     return float(np.mean(_MCD_ALPHA * np.sqrt(2.0 * np.sum(diff * diff, axis=1))))
-
-
-def mcd(ref: Waveform, hyp: Waveform) -> float:
-    return mcd_from_frames(mcep(ref), mcep(hyp))
 
 
 def _co_voiced(

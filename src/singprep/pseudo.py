@@ -1,9 +1,8 @@
-"""Pseudo-singing generation and speech annotation.
+"""Pseudo-singing generation: aligned speech sung to a melody.
 
-Aligned speech becomes training-style data two ways: annotate_speech wraps
-the alignment into a speech-style record (notes averaged per word), and
-make_pseudo_singing swaps the natural pitch for a rendered melody, then
-resynthesizes and annotates the result as pseudo-singing.
+make_pseudo_singing swaps the natural pitch of an utterance for a rendered
+melody template, resynthesizes it, and annotates the result as style 2
+(pseudo-singing), one event per aligned phone.
 """
 
 from __future__ import annotations
@@ -11,20 +10,16 @@ from __future__ import annotations
 import numpy as np
 
 from .annotation import AnnotationRecord
-from .dsp.pitch import (
-    DEFAULT_HOP,
-    F0Contour,
-    average_f0_by_segments,
-    extract_f0,
-    hz_from_midi,
-)
+from .dsp.pitch import DEFAULT_HOP, F0Contour, hz_from_midi
 from .dsp.vocoder import analyze, replace_f0, synthesize
 from .dsp.audio import Waveform
 from .errors import InputError, ValidationError
 from .lexicon import CMU_PHONES, language_of
-# load_melody_bank is re-exported: singprep.pseudo.load_melody_bank predates .melody.
+# load_melody_bank stays importable from here because bench/tracing.py wraps
+# singprep.pseudo.load_melody_bank; without it that traced layer would
+# silently record nothing.
 from .melody import MelodyTemplate, load_melody_bank  # noqa: F401
-from .score import PSEUDO_SINGING, SILENCE_LABELS, SPEECH, PhonemeEvent
+from .score import PSEUDO_SINGING, SILENCE_LABELS, PhonemeEvent
 from .textgrid import AlignmentTier, Interval
 
 _ALIGN_TOLERANCE = 0.05  # seconds of admissible waveform/alignment mismatch
@@ -86,44 +81,6 @@ def _speech_phone_events(
     return out
 
 
-def annotate_speech(
-    waveform: Waveform,
-    word_tier: AlignmentTier,
-    phone_tier: AlignmentTier,
-    utt_id: str,
-    audio_path: str = "",
-    singer_id: str = "",
-    hop: float = DEFAULT_HOP,
-) -> AnnotationRecord:
-    """Speech-style annotation: per-word notes from averaged pitch.
-
-    Phone events come from the alignment (silences dropped); every phone in a
-    word shares that word's note, with note_dur equal to the word duration.
-    """
-    contour = extract_f0(waveform, hop=hop)
-    words = word_tier.labelled(drop=SILENCE_LABELS)
-    notes = {
-        id(w): note
-        for w, (_, note) in zip(
-            words, average_f0_by_segments(contour, [(w.start, w.end) for w in words])
-        )
-    }
-    events = []
-    for iv, ph, word in _speech_phone_events(word_tier, phone_tier):
-        events.append(
-            PhonemeEvent(
-                phoneme=ph,
-                ph_dur=iv.end - iv.start,
-                note_midi=notes[id(word)],
-                note_dur=word.end - word.start,
-                is_slur=False,
-                language_token=language_of(word.label),
-                style_token=SPEECH,
-            )
-        )
-    return AnnotationRecord(utt_id, audio_path, events, singer_id, None)
-
-
 def make_pseudo_singing(
     waveform: Waveform,
     word_tier: AlignmentTier,
@@ -174,5 +131,5 @@ def make_pseudo_singing(
         )
     if not events:
         raise ValidationError(["alignment yields no phone events"])
-    record = AnnotationRecord(utt_id, audio_path, events, singer_id, None)
+    record = AnnotationRecord(utt_id, audio_path, tuple(events), singer_id, None)
     return rendered, record

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import InputError, OovError, ParseError
+from .errors import InputError, ParseError
 from .jsonio import dumps_document, read_json
-from .lexicon import CMU_PHONES, CMU_VOWELS, ENGLISH, Lexicon, LyricToken, token_phones
+from .lexicon import CMU_VOWELS, ENGLISH, Lexicon, LyricToken, token_phones
 from .textgrid import AlignmentTier
 
 log = logging.getLogger(__name__)
@@ -35,18 +35,6 @@ log = logging.getLogger(__name__)
 SILENCE_LABELS = frozenset({"", "sp", "ap", "sil", "spn", "pau", "<sp>", "<ap>"})
 
 SPEECH, SINGING, PSEUDO_SINGING = 0, 1, 2
-
-# Phones commonly absent from Mandarin-only singing corpora, each mapped to
-# its nearest available phone (single articulatory step: voicing or place).
-DEFAULT_SUBSTITUTIONS = {
-    "TH": "S",
-    "DH": "Z",
-    "V": "F",
-    "IH": "IY",
-    "OY": "AO",
-    "Y": "IY",
-}
-DEFAULT_INVENTORY = frozenset(CMU_PHONES - set(DEFAULT_SUBSTITUTIONS))
 
 _MIN_ALIGNED_DUR = 0.005  # one 5 ms frame: floor for aligned phone durations
 
@@ -185,8 +173,8 @@ class RatioTable:
         weights = tuple(float(w) for w in weights)
         if len(weights) != len(expansion):
             raise InputError(f"{len(weights)} weights for {len(expansion)} phones")
-        if not all(math.isfinite(w) and w >= 0 for w in weights):
-            raise InputError(f"weights must be finite and nonnegative, got {list(weights)}")
+        if not all(math.isfinite(w) and w > 0 for w in weights):
+            raise InputError(f"weights must be finite and positive, got {list(weights)}")
         total = sum(weights)
         if abs(total - 1.0) > 1e-9:
             raise InputError(f"weights sum to {total}, expected 1")
@@ -421,34 +409,3 @@ def extract_ratios(
         total = sum(mean)
         table.set(unit, exp, [m / total for m in mean])
     return table
-
-
-def substitute_missing(
-    events: Sequence[PhonemeEvent],
-    table: dict[str, str] | None = None,
-    inventory: frozenset[str] | None = None,
-) -> tuple[list[PhonemeEvent], list[tuple[int, str, str]]]:
-    """Replace phones missing from the target inventory.
-
-    Returns the rewritten events plus a substitution log of
-    (event index, old phone, new phone). A phone in neither the inventory
-    nor the table is an error; rests are left alone.
-    """
-    table = DEFAULT_SUBSTITUTIONS if table is None else table
-    inventory = DEFAULT_INVENTORY if inventory is None else inventory
-    out: list[PhonemeEvent] = []
-    subs: list[tuple[int, str, str]] = []
-    for idx, ev in enumerate(events):
-        if ev.is_rest() or ev.phoneme in inventory:
-            out.append(ev)
-            continue
-        new = table.get(ev.phoneme)
-        if new is None:
-            raise OovError(ev.phoneme, ENGLISH)
-        subs.append((idx, ev.phoneme, new))
-        out.append(PhonemeEvent(new, ev.ph_dur, ev.note_midi, ev.note_dur, ev.is_slur,
-                                ev.language_token, ev.style_token))
-    if subs:
-        log.info("substituted %d phones: %s", len(subs),
-                 ", ".join(f"{o}->{n}" for _, o, n in subs[:8]))
-    return out, subs

@@ -9,7 +9,6 @@ verbatim rather than computed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 from .annotation import VOICE_PARTS, normalize_voice_part
 from .errors import InputError
@@ -92,7 +91,3 @@ def build_job_manifest(
 
 def dumps_job_manifest(jobs: list[ConversionJob]) -> str:
     return dumps_document({"jobs": [j.to_document() for j in jobs]})
-
-
-def write_job_manifest(jobs: list[ConversionJob], path) -> None:
-    Path(path).write_text(dumps_job_manifest(jobs), encoding="utf-8")

@@ -199,14 +199,14 @@ def read_textgrid(path) -> list[AlignmentTier]:
     A ParseError names the file."""
     raw = Path(path).read_bytes()
     if raw.startswith(b"\xff\xfe") or raw.startswith(b"\xfe\xff"):
-        text = raw.decode("utf-16")
+        encoding = "utf-16"
     elif raw.startswith(b"\xef\xbb\xbf"):
-        text = raw.decode("utf-8-sig")
+        encoding = "utf-8-sig"
     else:
-        text = raw.decode("utf-8")
+        encoding = "utf-8"
     try:
-        return parse_textgrid(text)
-    except ParseError as exc:
+        return parse_textgrid(raw.decode(encoding))
+    except (ParseError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
 
 

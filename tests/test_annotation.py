@@ -17,7 +17,7 @@ from singprep import (
     write_annotation,
     write_manifest,
 )
-from singprep.annotation import VOICE_PARTS, normalize_voice_part
+from singprep.annotation import _ARRAYS, VOICE_PARTS, normalize_voice_part
 from singprep.jsonio import dumps_document
 
 
@@ -52,34 +52,6 @@ class TestPhonemeEvent:
         assert not PhonemeEvent("AA", 0.1, 60, 0.1).is_rest()
 
 
-class TestRecordValidation:
-    def test_empty_utt_id_rejected(self):
-        with pytest.raises(ValidationError):
-            AnnotationRecord("", "a.wav", (PhonemeEvent("AA", 0.1, 60, 0.1),))
-
-    def test_empty_events_rejected(self):
-        with pytest.raises(ValidationError):
-            AnnotationRecord("u", "a.wav", ())
-
-    def test_unknown_voice_part_rejected(self):
-        with pytest.raises(ValidationError):
-            AnnotationRecord("u", "a.wav",
-                             (PhonemeEvent("AA", 0.1, 60, 0.1),),
-                             voice_part="Contralto")
-
-    @pytest.mark.parametrize("singer", [3, None])
-    def test_non_string_singer_rejected(self, singer):
-        with pytest.raises(ValidationError, match="singer: must be a string"):
-            AnnotationRecord("u", "a.wav", (PhonemeEvent("AA", 0.1, 60, 0.1),), singer)
-
-    def test_none_voice_part_allowed(self):
-        rec = AnnotationRecord("u", "a.wav", (PhonemeEvent("AA", 0.1, 60, 0.1),))
-        assert rec.voice_part is None
-
-    def test_total_duration(self):
-        assert sample_record().total_duration() == pytest.approx(0.55)
-
-
 class TestVoicePartAliases:
     @pytest.mark.parametrize("alias,part", [
         ("S", "Soprano"), ("A", "Alto"), ("T", "Tenor"),
@@ -102,6 +74,11 @@ class TestVoicePartAliases:
             normalize_voice_part(part)
 
 
+def _manifest_text(**fields):
+    """A one-record manifest: sample_record's document with the given fields replaced."""
+    return json.dumps({"records": [{**sample_record().to_document(), **fields}]})
+
+
 class TestDocumentRoundTrip:
     def test_to_from_document_identity(self):
         rec = sample_record()
@@ -117,6 +94,9 @@ class TestDocumentRoundTrip:
         write_annotation(rec, p1)
         write_annotation(read_annotation(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_total_duration(self):
+        assert sample_record().total_duration() == pytest.approx(0.55)
 
     def test_document_carries_parallel_arrays(self):
         doc = sample_record().to_document()
@@ -178,6 +158,11 @@ class TestValidateDocument:
         doc = json.loads(dumps_annotation(sample_record()).replace("0.22", "1e309", 1))
         with pytest.raises(ValidationError, match=r"ph_dur\[1\]"):
             validate_document(doc)
+
+    def test_null_voice_part_passes(self):
+        doc = sample_record().to_document()
+        doc["voice_part"] = None
+        validate_document(doc)
 
     def test_zero_note_duration_and_int_values_pass(self):
         doc = sample_record().to_document()
@@ -241,6 +226,16 @@ class TestManifest:
         ("[5]", ParseError, "entry 0 is not an object"),
         ('{"a": 1}\n7\n', ParseError, "entry 1 is not an object"),
         ('{"records": [{"utt_id": "u"}]}', ValidationError, "record 0: phs: missing field"),
+        pytest.param(_manifest_text(utt_id=""), ValidationError,
+                     "record 0: utt_id: must be nonempty", id="empty-utt-id"),
+        pytest.param(_manifest_text(**dict.fromkeys(_ARRAYS, [])), ValidationError,
+                     "record 0: phs: event list must be nonempty", id="empty-events"),
+        pytest.param(_manifest_text(voice_part="Contralto"), ValidationError,
+                     "record 0: voice_part: must be null or one of", id="unknown-voice-part"),
+        pytest.param(_manifest_text(singer=3), ValidationError,
+                     "record 0: singer: must be a string", id="singer-number"),
+        pytest.param(_manifest_text(singer=None), ValidationError,
+                     "record 0: singer: must be a string", id="singer-null"),
     ])
     def test_malformed_manifest_names_its_file(self, tmp_path, text, error, message):
         p = tmp_path / "m.json"

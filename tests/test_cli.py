@@ -871,6 +871,29 @@ def test_malformed_input_exits_2(tmp_path, files, argv):
                  id="ratios-missing-weights"),
     pytest.param({"c.yaml": "cmu_dict: d.txt\n", "d.txt": "CAT  K AE1 T\nBROKEN\n"},
                  ["g2p", "--config", "c.yaml", "cat"], "d.txt", id="config-cmu-dict-bad-line"),
+    pytest.param({"s.json": b'{"events": [{"lyric": "caf\xe9", "note": 60, "dur": 0.5}]}'},
+                 _SCORE, "s.json", id="score-not-utf8"),
+    pytest.param({"m.json": b'{"records": ["\xe9"]}'}, _ADAPT_M, "m.json",
+                 id="manifest-not-utf8"),
+    pytest.param({"tg/cun.TextGrid": b'File type = "ooTextFile"\n"\xe9"\n'},
+                 [*_PROPORTIONAL, "--alignment-dir", "tg"], os.path.join("tg", "cun.TextGrid"),
+                 id="textgrid-not-utf8"),
+    pytest.param({"c.yaml": "cmu_dict: d.txt\n", "d.txt": b"CAF\xc9  K AE1 F\n"},
+                 ["g2p", "--config", "c.yaml", "cat"], "d.txt", id="cmu-dict-not-utf8"),
+    pytest.param({"c.yaml": "pinyin_map: p.txt\n", "p.txt": b"b  B\n\xe9  EY\n"},
+                 ["g2p", "--config", "c.yaml", "cat"], "p.txt", id="pinyin-map-not-utf8"),
+    pytest.param({"c.yaml": "hanzi_table: h.txt\n", "h.txt": b"\xe6\x88  wo\n"},
+                 ["g2p", "--config", "c.yaml", "cat"], "h.txt", id="hanzi-table-not-utf8"),
+    pytest.param({"l.txt": b"caf\xe9\n"}, ["g2p", "--input", "l.txt"], "l.txt",
+                 id="g2p-input-not-utf8"),
+    pytest.param({"c.yaml": b"seed: \xe9\n"}, ["g2p", "--config", "c.yaml", "cat"], "c.yaml",
+                 id="config-not-utf8"),
+    pytest.param({"s.json": '{"events": [{"note": 60, "dur": 0.5, "slur": true}]}'}, _SCORE,
+                 "s.json: score event 0", id="slur-without-lyric"),
+    pytest.param({"src.json": _SOURCES.replace('"Bass"', '"Bassoon"'), "tgt.json": _TARGETS},
+                 _PLAN, "src.json: entry 0", id="plan-svc-unknown-voice-part"),
+    pytest.param({"r.json": '{"c": {"phones": ["T", "S"], "weights": [0.0, 1.0]}}'}, _RATIOS,
+                 "r.json: ratio table unit 'c'", id="ratios-zero-weight"),
 ])
 def test_input_error_names_its_file(tmp_path, files, argv, name):
     stderr = _run_main(tmp_path, files, argv)

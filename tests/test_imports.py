@@ -130,3 +130,16 @@ def test_eval_and_pseudo_run_without_scipy(tmp_path):
     assert report["per_utterance"]["clip"]["wer"] == 0.0
     for name in ("clip.wav", "clip.json", "summary.json"):
         assert (tmp_path / "out" / name).stat().st_size > 0
+
+
+def test_export_tables_resolve():
+    """Every exported name resolves, lazy names are exported, and none repeats:
+    deleting a function but keeping its export fails here."""
+    import singprep
+    import singprep.dsp
+
+    for module in (singprep, singprep.dsp):
+        assert len(set(module.__all__)) == len(module.__all__), module.__name__
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+    assert set(singprep._LAZY) <= set(singprep.__all__)

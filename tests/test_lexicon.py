@@ -15,7 +15,7 @@ from singprep import (
     segment_lyrics,
     split_pinyin,
 )
-from singprep.lexicon import Lexicon, language_of, token_phones
+from singprep.lexicon import DEFAULT_INITIALS, Lexicon, language_of, token_phones
 
 PINYIN_GOLDENS = {
     "rang": ["R", "AE", "NG"],
@@ -156,8 +156,7 @@ class TestSplitPinyin:
         finals = [u for u in lexicon.pinyin_entries if not lexicon.is_initial(u)]
         for initial in [""] + initials:
             for final in finals:
-                assert split_pinyin(initial + final, lexicon.initials_table) \
-                    == (initial, final)
+                assert split_pinyin(initial + final) == (initial, final)
 
 
 class TestG2p:
@@ -210,8 +209,8 @@ class TestLexiconInvariants:
                 assert phones, "empty expansion"
                 assert set(phones) <= set(CMU_PHONES)
 
-    def test_two_letter_initials_precede_prefixes(self, lexicon):
-        order = list(lexicon.initials_table)
+    def test_two_letter_initials_precede_prefixes(self):
+        order = list(DEFAULT_INITIALS)
         for two in ("zh", "ch", "sh"):
             assert order.index(two) < order.index(two[0])
 

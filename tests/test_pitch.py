@@ -6,7 +6,6 @@ from singprep.dsp.pitch import next_fast_len, periodic_hann
 from singprep.dsp import (
     F0Contour,
     Waveform,
-    average_f0_by_segments,
     extract_f0,
     frame_count,
     hz_from_midi,
@@ -112,37 +111,6 @@ class TestTransposeF0:
     def test_fractional_semitones(self):
         c = F0Contour(np.array([440.0]), 0.005)
         assert transpose_f0(c, 1.0).values[0] == pytest.approx(440 * 2 ** (1 / 12))
-
-
-class TestAverageF0BySegments:
-    def test_tone_maps_to_midi_57(self):
-        contour = extract_f0(sine(220.0, 1.0))
-        out = average_f0_by_segments(contour, [(0.1, 0.9)])
-        assert out == [((0.1, 0.9), 57)]
-
-    def test_unvoiced_segment_is_rest(self):
-        contour = F0Contour(np.zeros(100), 0.005)
-        out = average_f0_by_segments(contour, [(0.0, 0.5)])
-        assert out == [((0.0, 0.5), 0)]
-
-    def test_mixed_octaves_average_between(self):
-        # equal halves of 220 and 440: log-mean lands on 63 (E4 + 0 cents is
-        # midway between 57 and 69)
-        vals = np.concatenate([np.full(100, 220.0), np.full(100, 440.0)])
-        contour = F0Contour(vals, 0.005)
-        out = average_f0_by_segments(contour, [(0.0, 1.0)])
-        assert out == [((0.0, 1.0), 63)]
-
-    def test_multiple_segments(self):
-        vals = np.concatenate([np.full(100, 220.0), np.zeros(100)])
-        contour = F0Contour(vals, 0.005)
-        out = average_f0_by_segments(contour, [(0.0, 0.5), (0.5, 1.0)])
-        assert [m for _, m in out] == [57, 0]
-
-    def test_segment_beyond_contour_is_rest(self):
-        contour = F0Contour(np.full(10, 220.0), 0.005)
-        out = average_f0_by_segments(contour, [(5.0, 6.0)])
-        assert out == [((5.0, 6.0), 0)]
 
 
 class TestContainers:

@@ -8,14 +8,13 @@ from singprep import (
     ValidationError,
     MelodyBank,
     MelodyTemplate,
-    annotate_speech,
     choose_melody,
     load_melody_bank,
     make_pseudo_singing,
     render_melody,
 )
 from singprep.dsp import Waveform, extract_f0, hz_from_midi
-from singprep.score import PSEUDO_SINGING, SPEECH
+from singprep.score import PSEUDO_SINGING
 from singprep.textgrid import AlignmentTier, Interval
 
 from helpers import SR, speech_clip
@@ -164,62 +163,37 @@ class TestRenderMelody:
             render_melody(MelodyTemplate("t", ((60, 1.0),)), 0)
 
 
-class TestAnnotateSpeech:
-    def test_phone_sequence_from_alignment(self, clip):
+class TestMakePseudoSinging:
+    def test_phone_sequence_from_alignment(self, clip, bank):
         wave, words, phones = clip
-        rec = annotate_speech(wave, words, phones, "u1")
+        _, rec = make_pseudo_singing(wave, words, phones, bank.get("scale_up"), 3, "u1")
         assert [e.phoneme for e in rec.events] == ["S", "AO", "NG", "F", "AE", "N"]
 
-    def test_word_notes_from_averaged_pitch(self, clip):
+    def test_latin_words_tokenized_english(self, clip, bank):
         wave, words, phones = clip
-        rec = annotate_speech(wave, words, phones, "u1")
-        notes = {e.phoneme: e.note_midi for e in rec.events}
-        # both words glide around 132-168 Hz: song averages to G#2, fan to A#2
-        assert notes["AO"] == 49 and notes["NG"] == 49 and notes["S"] == 49
-        assert notes["F"] == 51 and notes["AE"] == 51 and notes["N"] == 51
-
-    def test_note_dur_is_word_duration(self, clip):
-        wave, words, phones = clip
-        rec = annotate_speech(wave, words, phones, "u1")
-        assert all(e.note_dur == pytest.approx(0.7) for e in rec.events)
-
-    def test_style_is_speech(self, clip):
-        wave, words, phones = clip
-        rec = annotate_speech(wave, words, phones, "u1")
-        assert {e.style_token for e in rec.events} == {SPEECH}
-
-    def test_latin_words_tokenized_english(self, clip):
-        wave, words, phones = clip
-        rec = annotate_speech(wave, words, phones, "u1")
+        _, rec = make_pseudo_singing(wave, words, phones, bank.get("scale_up"), 3, "u1")
         assert {e.language_token for e in rec.events} == {0}
 
-    def test_han_word_tokenized_mandarin(self, clip):
+    def test_han_word_tokenized_mandarin(self, clip, bank):
         wave, _, phones = clip
         words = AlignmentTier("words", (
             Interval(0.0, 0.95, "我"), Interval(0.95, 1.8, "fan")))
-        rec = annotate_speech(wave, words, phones, "u1")
+        _, rec = make_pseudo_singing(wave, words, phones, bank.get("scale_up"), 3, "u1")
         langs = {e.phoneme: e.language_token for e in rec.events}
         assert langs["AO"] == 1 and langs["AE"] == 0
 
-    def test_durations_match_alignment(self, clip):
-        wave, words, phones = clip
-        rec = annotate_speech(wave, words, phones, "u1")
-        assert rec.total_duration() == pytest.approx(1.4)
-
-    def test_phone_outside_words_rejected(self, clip):
+    def test_phone_outside_words_rejected(self, clip, bank):
         wave, _, phones = clip
         words = AlignmentTier("words", (Interval(0.0, 0.5, "song"),))
         with pytest.raises(InputError, match="outside"):
-            annotate_speech(wave, words, phones, "u1")
+            make_pseudo_singing(wave, words, phones, bank.get("scale_up"), 3, "u1")
 
-    def test_unknown_phone_label_rejected(self, clip):
+    def test_unknown_phone_label_rejected(self, clip, bank):
         wave, words, _ = clip
         phones = AlignmentTier("phones", (Interval(0.2, 0.5, "QQ"),))
-        with pytest.raises(InputError):
-            annotate_speech(wave, words, phones, "u1")
+        with pytest.raises(InputError, match="not a recognized phone"):
+            make_pseudo_singing(wave, words, phones, bank.get("scale_up"), 3, "u1")
 
-
-class TestMakePseudoSinging:
     def test_output_length_matches_input(self, clip, bank):
         wave, words, phones = clip
         out, _ = make_pseudo_singing(wave, words, phones,

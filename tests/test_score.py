@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from singprep import (
+    AnnotationRecord,
     MANDARIN,
     ENGLISH,
     LyricToken,
@@ -16,10 +17,9 @@ from singprep import (
     adapt_proportional,
     default_lexicon,
     extract_ratios,
-    substitute_missing,
     transform_score,
+    validate_document,
 )
-from singprep.score import DEFAULT_SUBSTITUTIONS
 from singprep.textgrid import AlignmentTier, Interval
 
 
@@ -251,31 +251,6 @@ class TestRatioTable:
         assert rt.get("c", ("T", "Z")) is None
 
 
-class TestSubstituteMissing:
-    def test_default_table_replaces_ih(self):
-        events = [PhonemeEvent("IH", 0.1, 60, 0.1)]
-        out, log_ = substitute_missing(events)
-        assert out[0].phoneme == DEFAULT_SUBSTITUTIONS["IH"]
-        assert log_ == [(0, "IH", out[0].phoneme)]
-
-    def test_in_inventory_unchanged(self):
-        events = [PhonemeEvent("AA", 0.1, 60, 0.1)]
-        out, log_ = substitute_missing(events)
-        assert out == events and log_ == []
-
-    def test_empty_list(self):
-        assert substitute_missing([]) == ([], [])
-
-    def test_durations_and_notes_untouched(self):
-        events = [PhonemeEvent("TH", 0.12, 61, 0.3)]
-        out, _ = substitute_missing(events)
-        assert (out[0].ph_dur, out[0].note_midi, out[0].note_dur) == (0.12, 61, 0.3)
-
-    def test_all_documented_phones_covered(self):
-        for ph in ("TH", "Y", "IH", "DH", "V", "OY"):
-            assert ph in DEFAULT_SUBSTITUTIONS
-
-
 UNITS = ["a", "ang", "uen", "c", "zh", "iou", "uei"]
 
 
@@ -307,6 +282,7 @@ def test_duration_conserved_both_strategies(events):
     for out in (adapt_average(events, lexicon),
                 adapt_proportional(events, lexicon, cun_ratios())):
         assert sum(e.ph_dur for e in out) == pytest.approx(total, rel=1e-9)
+        validate_document(AnnotationRecord("u", "u.wav", tuple(out)).to_document())
 
 
 @settings(max_examples=150, deadline=None)

@@ -7,9 +7,9 @@ from singprep import (
     ValidationError,
     build_job_manifest,
     plan_conversion,
-    write_job_manifest,
 )
 from singprep.annotation import VOICE_PARTS
+from singprep.svc import dumps_job_manifest
 
 # From: Bass, Baritone, Tenor, Alto, Soprano; To: the same order.
 EXPECTED_MATRIX = {
@@ -89,11 +89,9 @@ class TestBuildJobManifest:
 
 
 class TestWriteJobManifest:
-    def test_written_document_shape(self, tmp_path):
+    def test_written_document_shape(self):
         jobs = build_job_manifest([("u1", "u1.wav", "Bass")], [("t1", "Tenor")])
-        p = tmp_path / "jobs.json"
-        write_job_manifest(jobs, p)
-        doc = json.loads(p.read_text())
+        doc = json.loads(dumps_job_manifest(jobs))
         assert doc["jobs"] == [{
             "source_utt": "u1",
             "source_audio": "u1.wav",
@@ -103,7 +101,5 @@ class TestWriteJobManifest:
             "pitch_shift_semitones": 8,
         }]
 
-    def test_empty_manifest(self, tmp_path):
-        p = tmp_path / "jobs.json"
-        write_job_manifest([], p)
-        assert json.loads(p.read_text()) == {"jobs": []}
+    def test_empty_manifest(self):
+        assert json.loads(dumps_job_manifest([])) == {"jobs": []}
