@@ -62,9 +62,6 @@ class AnnotationRecord:
     singer_id: str = ""
     voice_part: str | None = None
 
-    def total_duration(self) -> float:
-        return sum(e.ph_dur for e in self.events)
-
     def to_document(self) -> dict:
         return {
             "utt_id": self.utterance_id,

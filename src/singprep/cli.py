@@ -43,6 +43,7 @@ log = logging.getLogger("singprep")
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
+INPUT_ERRORS = (InputError, OSError, UnicodeDecodeError)  # bad input: exit 2, or one item fails
 
 _LANGUAGES = {"cn": MANDARIN, "en": ENGLISH}  # score-event "lang" codes
 
@@ -55,42 +56,31 @@ def derive_seed(seed: int, utt_id: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _build_lexicon(cfg: PipelineConfig) -> Lexicon:
-    """The bundled lexicon, each table the config names replacing its own."""
-    lex = default_lexicon()
-    for path, table, load in (
-        (cfg.cmu_dict, lex.english_entries, lex.load_cmu_dict),
-        (cfg.pinyin_map, lex.pinyin_entries, lex.load_pinyin_map),
-        (cfg.hanzi_table, lex.hanzi_readings, lex.load_hanzi_table),
-    ):
-        if path is not None:
-            table.clear()
-            with open(path, encoding="utf-8") as fh:
-                try:
-                    load(fh)
-                except (ParseError, UnicodeDecodeError) as exc:
-                    raise ParseError(f"{path}: {exc}") from None
-    return lex
+def _run_item(worker, payload) -> tuple:
+    """(worker(payload), '') or, if the payload is bad input, (None, 'Type: message')."""
+    try:
+        return worker(payload), ""
+    except INPUT_ERRORS as exc:  # bad input fails only its payload; bugs still raise
+        return None, f"{type(exc).__name__}: {exc}"
 
 
-def run_batch(worker, payloads, workers: int, size, stop=None) -> list:
-    """worker(payload) for each payload; the results come back in payload order.
+def run_batch(worker, payloads, workers: int, size, fail_fast: bool = False) -> list:
+    """(payload, result, error) for each payload that ran, in payload order.
 
-    With one worker (or one payload) they run in this process, in payload
-    order. Otherwise a pool of at most one process per payload runs them,
-    submitted largest size(payload) first so that no process is left with a
-    long item at the end. When stop(result) is true or a worker raises,
-    payloads not yet started are cancelled and the results of every one that
-    ran are returned (or the first error re-raised); results are tested in
-    the order they were submitted."""
-    stop = stop or (lambda result: False)
+    error is '' or, when worker(payload) raised an input error, 'Type: message';
+    any other exception propagates. With one worker (or one payload) they run
+    in this process, in payload order. Otherwise a pool of at most one process
+    per payload runs them, submitted largest size(payload) first so that no
+    process is left with a long item at the end. When fail_fast and a payload
+    fails, or when a worker raises, payloads not yet started are cancelled;
+    failures are tested in the order the payloads were submitted."""
     if workers <= 1 or len(payloads) <= 1:
-        results = []
+        outcomes = []
         for payload in payloads:
-            results.append(worker(payload))
-            if stop(results[-1]):
+            outcomes.append((payload, *_run_item(worker, payload)))
+            if fail_fast and outcomes[-1][2]:
                 break
-        return results
+        return outcomes
     from concurrent.futures import ProcessPoolExecutor
 
     # a stable sort: payloads of equal size keep their order
@@ -98,12 +88,13 @@ def run_batch(worker, payloads, workers: int, size, stop=None) -> list:
     futures = {}
     with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
         for i in order:
-            futures[i] = pool.submit(worker, payloads[i])
+            futures[i] = pool.submit(_run_item, worker, payloads[i])
         for future in futures.values():
-            if future.exception() is not None or stop(future.result()):
+            if future.exception() is not None or (fail_fast and future.result()[1]):
                 pool.shutdown(cancel_futures=True)
                 break
-    return [futures[i].result() for i in sorted(futures) if not futures[i].cancelled()]
+    return [(payloads[i], *futures[i].result()) for i in sorted(futures)
+            if not futures[i].cancelled()]
 
 
 def _file_size(path) -> int:
@@ -133,6 +124,14 @@ def _read_entries(path, list_key: str, required: tuple[str, ...]) -> list[dict]:
     return entries
 
 
+def _check_strings(entry: dict, keys: tuple[str, ...], path) -> None:
+    """InputError naming the manifest and the field if one of keys holds a non-string."""
+    for key in keys:
+        if key in entry and not isinstance(entry[key], str):
+            raise InputError(f"{path}: utterance {entry['utt_id']!r}: {key}: must be a string, "
+                             f"got {entry[key]!r}")
+
+
 def _by_utt_id(entries: list[dict], path) -> dict[str, dict]:
     """Manifest entries keyed by utt_id, in order; ids must be unique strings."""
     by_id: dict[str, dict] = {}
@@ -150,13 +149,23 @@ def _by_utt_id(entries: list[dict], path) -> dict[str, dict]:
 
 def cmd_g2p(args, cfg: PipelineConfig) -> int:
     if args.input is not None:
-        text = read_text(args.input)
+        source, text = args.input, read_text(args.input)
     elif args.text:
-        text = " ".join(args.text)
+        source, text = None, " ".join(args.text)
     else:
-        text = sys.stdin.read()
-    lexicon = _build_lexicon(cfg)
-    seq = g2p(segment_lyrics(text), lexicon)
+        source = "<stdin>"
+        try:  # bytes where there are any, so that the decoding does not depend on the locale
+            text = (sys.stdin.buffer.read().decode("utf-8") if hasattr(sys.stdin, "buffer")
+                    else sys.stdin.read())
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{source}: {exc}") from None
+    lexicon = default_lexicon(cfg.cmu_dict, cfg.pinyin_map, cfg.hanzi_table)
+    try:
+        seq = g2p(segment_lyrics(text), lexicon)
+    except InputError as exc:
+        if source is None:
+            raise
+        raise InputError(f"{source}: {exc}") from None
     body = " ".join(seq.phonemes) + "\n" + " ".join(str(t) for t in seq.language_tokens) + "\n"
     _write_text(body, args.output)
     return EXIT_OK
@@ -194,12 +203,12 @@ def _score_events(path) -> list[ScoreEvent]:
 
 
 def cmd_transcode(args, cfg: PipelineConfig) -> int:
-    lexicon = _build_lexicon(cfg)
+    lexicon = default_lexicon(cfg.cmu_dict, cfg.pinyin_map, cfg.hanzi_table)
     events = _score_events(args.score)
     try:
         result = transform_score(events, lexicon)
-    except ParseError as exc:
-        raise ParseError(f"{args.score}: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{args.score}: {exc}") from None
     _write_text(dumps_document(result.to_dict()), args.output)
     return EXIT_OK
 
@@ -237,7 +246,7 @@ def _corpus_ratios(records, alignment_dir, lexicon: Lexicon) -> RatioTable:
 
 
 def cmd_adapt(args, cfg: PipelineConfig) -> int:
-    lexicon = _build_lexicon(cfg)
+    lexicon = default_lexicon(cfg.cmu_dict, cfg.pinyin_map, cfg.hanzi_table)
     records = read_manifest(args.input)
     if not records:
         raise InputError(f"{args.input}: no records to adapt")
@@ -292,31 +301,26 @@ def _find_tiers(tiers, path):
     return word, phone
 
 
-def _pseudo_worker(payload: tuple) -> tuple[str, str, str]:
-    """One utterance: returns (utt_id, melody id or '', error or '')."""
+def _pseudo_worker(payload: tuple) -> str:
+    """One utterance rendered and written; returns its melody id."""
     from .dsp.audio import read_wav, write_wav
     from .pseudo import make_pseudo_singing
 
-    entry, bank, seed, out_dir, hop = payload
+    entry, bank, seed, out_dir, hop, manifest = payload
     utt_id = entry["utt_id"]
-    try:
-        singer = entry.get("singer", "")
-        if not isinstance(singer, str):
-            raise ValidationError([f"singer: must be a string, got {singer!r}"])
-        wave = read_wav(entry["audio"])
-        word_tier, phone_tier = _find_tiers(read_textgrid(entry["textgrid"]), entry["textgrid"])
-        utt_seed = derive_seed(seed, utt_id)
-        melody = choose_melody(bank, utt_seed)
-        rendered, record = make_pseudo_singing(
-            wave, word_tier, phone_tier, melody, utt_seed,
-            utt_id=utt_id, audio_path=f"{utt_id}.wav",
-            singer_id=singer, hop=hop,
-        )
-        write_wav(rendered, Path(out_dir) / f"{utt_id}.wav")
-        write_annotation(record, Path(out_dir) / f"{utt_id}.json")
-        return utt_id, melody.template_id, ""
-    except Exception as exc:  # per-file isolation under keep-going
-        return utt_id, "", f"{type(exc).__name__}: {exc}"
+    _check_strings(entry, ("audio", "textgrid", "singer"), manifest)
+    wave = read_wav(entry["audio"])
+    word_tier, phone_tier = _find_tiers(read_textgrid(entry["textgrid"]), entry["textgrid"])
+    utt_seed = derive_seed(seed, utt_id)
+    melody = choose_melody(bank, utt_seed)
+    rendered, record = make_pseudo_singing(
+        wave, word_tier, phone_tier, melody, utt_seed,
+        utt_id=utt_id, audio_path=f"{utt_id}.wav",
+        singer_id=entry.get("singer", ""), hop=hop,
+    )
+    write_wav(rendered, Path(out_dir) / f"{utt_id}.wav")
+    write_annotation(record, Path(out_dir) / f"{utt_id}.json")
+    return melody.template_id
 
 
 def cmd_pseudo(args, cfg: PipelineConfig) -> int:
@@ -334,10 +338,9 @@ def cmd_pseudo(args, cfg: PipelineConfig) -> int:
     bank = load_melody_bank(bank_path)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    payloads = [(e, bank, cfg.seed, str(out_dir), cfg.hop) for e in entries]
-    stop = None if args.keep_going else (lambda res: bool(res[2]))
+    payloads = [(e, bank, cfg.seed, str(out_dir), cfg.hop, args.manifest) for e in entries]
     audio_size = lambda payload: _file_size(payload[0]["audio"])
-    results = run_batch(_pseudo_worker, payloads, cfg.workers, audio_size, stop)
+    results = run_batch(_pseudo_worker, payloads, cfg.workers, audio_size, not args.keep_going)
 
     # Keys are built in sorted order, as summary.json has always listed them.
     summary: dict = {
@@ -346,7 +349,7 @@ def cmd_pseudo(args, cfg: PipelineConfig) -> int:
         "utterances": {},
     }
     failures = 0
-    for utt_id, melody_id, error in sorted(results):
+    for utt_id, melody_id, error in sorted((p[0]["utt_id"], m, e) for p, m, e in results):
         if error:
             failures += 1
             log.error("%s: %s", utt_id, error)
@@ -388,30 +391,26 @@ def cmd_plan_svc(args, cfg: PipelineConfig) -> int:
 
 # -- eval ---------------------------------------------------------------------
 
-def _eval_worker(payload: tuple) -> tuple[str, dict | None, str]:
-    """One pair: returns (utt_id, metrics or None, input error or '').
-
-    Any input error of the pair counts: an unreadable file as well as inputs
-    that cannot be scored (embeddings of different shapes, a zero vector).
-    """
+def _eval_worker(payload: tuple) -> dict:
+    """The metrics of one pair. Inputs that cannot be scored (embeddings of
+    different shapes, a zero vector) are input errors, as unreadable files are."""
     from .dsp.audio import read_wav
     from .metrics import evaluate_pair, read_embedding, tokenize_transcript
 
-    utt_id, ref_entry, hyp_entry = payload
-    try:
-        ref = read_wav(ref_entry["audio"])
-        hyp = read_wav(hyp_entry["audio"])
-        ref_tokens = hyp_tokens = None
-        if "text" in ref_entry and "text" in hyp_entry:
-            ref_tokens = tokenize_transcript(ref_entry["text"])
-            hyp_tokens = tokenize_transcript(hyp_entry["text"])
-        ref_emb = hyp_emb = None
-        if "embedding" in ref_entry and "embedding" in hyp_entry:
-            ref_emb = read_embedding(ref_entry["embedding"])
-            hyp_emb = read_embedding(hyp_entry["embedding"])
-        return utt_id, evaluate_pair(ref, hyp, ref_tokens, hyp_tokens, ref_emb, hyp_emb), ""
-    except (InputError, OSError, UnicodeDecodeError) as exc:  # bad input; bugs still raise
-        return utt_id, None, f"{type(exc).__name__}: {exc}"
+    utt_id, ref_entry, hyp_entry, ref_path, hyp_path = payload
+    _check_strings(ref_entry, ("audio", "text", "embedding"), ref_path)
+    _check_strings(hyp_entry, ("audio", "text", "embedding"), hyp_path)
+    ref = read_wav(ref_entry["audio"])
+    hyp = read_wav(hyp_entry["audio"])
+    ref_tokens = hyp_tokens = None
+    if "text" in ref_entry and "text" in hyp_entry:
+        ref_tokens = tokenize_transcript(ref_entry["text"])
+        hyp_tokens = tokenize_transcript(hyp_entry["text"])
+    ref_emb = hyp_emb = None
+    if "embedding" in ref_entry and "embedding" in hyp_entry:
+        ref_emb = read_embedding(ref_entry["embedding"])
+        hyp_emb = read_embedding(hyp_entry["embedding"])
+    return evaluate_pair(ref, hyp, ref_tokens, hyp_tokens, ref_emb, hyp_emb)
 
 
 def cmd_eval(args, cfg: PipelineConfig) -> int:
@@ -419,22 +418,16 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
 
     refs = _by_utt_id(_read_entries(args.ref, "utterances", ("utt_id", "audio")), args.ref)
     hyps = _by_utt_id(_read_entries(args.hyp, "utterances", ("utt_id", "audio")), args.hyp)
-    for path, by_id in ((args.ref, refs), (args.hyp, hyps)):
-        for utt_id, entry in by_id.items():
-            for key in ("audio", "text", "embedding"):
-                if key in entry and not isinstance(entry[key], str):
-                    raise InputError(f"{path}: utterance {utt_id!r}: {key} must be a string, "
-                                     f"got {entry[key]!r}")
     if set(refs) != set(hyps):
         only_ref = sorted(set(refs) - set(hyps))
         only_hyp = sorted(set(hyps) - set(refs))
         raise InputError(
             f"manifest mismatch; only in ref: {only_ref}; only in hyp: {only_hyp}"
         )
-    payloads = [(utt_id, refs[utt_id], hyps[utt_id]) for utt_id in sorted(refs)]
+    payloads = [(u, refs[u], hyps[u], args.ref, args.hyp) for u in sorted(refs)]
     report = EvalReport()
     pair_size = lambda payload: _file_size(payload[1]["audio"]) + _file_size(payload[2]["audio"])
-    for utt_id, values, error in run_batch(_eval_worker, payloads, cfg.workers, pair_size):
+    for (utt_id, *_), values, error in run_batch(_eval_worker, payloads, cfg.workers, pair_size):
         if not error:
             try:
                 report.add(utt_id, values)
@@ -529,7 +522,7 @@ def main(argv=None) -> int:
         for failure in exc.failures:
             log.error("%s", failure)
         return EXIT_INPUT
-    except (InputError, OSError, UnicodeDecodeError) as exc:
+    except INPUT_ERRORS as exc:
         log.error("%s", exc)
         return EXIT_INPUT
     except Exception:  # noqa: BLE001 - last-resort boundary

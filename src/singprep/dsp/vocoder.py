@@ -90,8 +90,6 @@ def analyze(waveform: Waveform, hop: float = DEFAULT_HOP) -> AnalysisResult:
     f0 = extract_f0(waveform, hop=hop)
     hop_samples = max(1, int(round(hop * sr)))
     n = frame_count(len(waveform), hop_samples)
-    if n != len(f0):
-        raise InputError("frame count mismatch between F0 and spectral analysis")
 
     win = periodic_hann(DEFAULT_FFT)
     wsum2 = float(np.sum(win * win))

@@ -8,6 +8,7 @@ English goes through a CMUdict-format dictionary with stress digits stripped.
 
 from __future__ import annotations
 
+import io
 import logging
 import unicodedata
 from dataclasses import dataclass, field
@@ -15,6 +16,7 @@ from importlib import resources
 from typing import Iterable, TextIO
 
 from .errors import InputError, OovError, ParseError
+from .jsonio import read_text
 
 log = logging.getLogger(__name__)
 
@@ -236,6 +238,23 @@ def split_pinyin(syllable: str) -> tuple[str, str]:
     return initial, final
 
 
+def split_words(text: str) -> list[tuple[str, int | None]]:
+    """text cut into (piece, language) in order: each maximal run of Latin
+    letters is ENGLISH, each Han character MANDARIN, each other character None."""
+    pieces: list[tuple[str, int | None]] = []
+    start = 0
+    for i, ch in enumerate(text):
+        if "a" <= ch.lower() <= "z":
+            continue
+        if start < i:
+            pieces.append((text[start:i], ENGLISH))
+        pieces.append((ch, MANDARIN if _is_han(ch) else None))
+        start = i + 1
+    if start < len(text):
+        pieces.append((text[start:], ENGLISH))
+    return pieces
+
+
 def segment_lyrics(text: str) -> list[LyricToken]:
     """Tokenize mixed-language lyrics.
 
@@ -244,28 +263,12 @@ def segment_lyrics(text: str) -> list[LyricToken]:
     Anything else raises.
     """
     tokens: list[LyricToken] = []
-    word: list[str] = []
-
-    def flush():
-        if word:
-            tokens.append(LyricToken("".join(word), ENGLISH))
-            word.clear()
-
-    for ch in text:
-        if "a" <= ch.lower() <= "z":
-            word.append(ch)
-            continue
-        flush()
-        if _is_han(ch):
-            tokens.append(LyricToken(ch, MANDARIN))
-        elif ch.isspace() or ch.isdigit():
-            continue
-        else:
-            cat = unicodedata.category(ch)
-            if cat.startswith("P"):
-                continue
-            raise ParseError(f"unsupported character in lyrics: {ch!r} (category {cat})")
-    flush()
+    for word, language in split_words(text):
+        if language is not None:
+            tokens.append(LyricToken(word, language))
+        elif not (word.isspace() or word.isdigit() or unicodedata.category(word)[0] == "P"):
+            raise ParseError(f"unsupported character in lyrics: {word!r} "
+                             f"(category {unicodedata.category(word)})")
     return tokens
 
 
@@ -294,15 +297,23 @@ def token_phones(tok: LyricToken, lexicon: Lexicon) -> tuple[str, ...]:
     return lexicon.lookup_pinyin(tok.surface)
 
 
-def default_lexicon() -> Lexicon:
-    """Lexicon built from the bundled tables (compact CMUdict subset,
-    pinyin unit table, hanzi readings)."""
+def default_lexicon(cmu_dict=None, pinyin_map=None, hanzi_table=None) -> Lexicon:
+    """Lexicon of the three tables, each read from the file named for it or,
+    when none is, from the bundled resource (compact CMUdict subset, pinyin
+    unit table, hanzi readings)."""
     lex = Lexicon()
     data = resources.files(_DATA_PACKAGE)
-    with (data / "cmudict_mini.txt").open("r", encoding="utf-8") as fh:
-        lex.load_cmu_dict(fh)
-    with (data / "pinyin_to_cmu.txt").open("r", encoding="utf-8") as fh:
-        lex.load_pinyin_map(fh)
-    with (data / "hanzi_pinyin.txt").open("r", encoding="utf-8") as fh:
-        lex.load_hanzi_table(fh)
+    for path, resource, load in (
+        (cmu_dict, "cmudict_mini.txt", lex.load_cmu_dict),
+        (pinyin_map, "pinyin_to_cmu.txt", lex.load_pinyin_map),
+        (hanzi_table, "hanzi_pinyin.txt", lex.load_hanzi_table),
+    ):
+        if path is None:
+            path, text = resource, (data / resource).read_text(encoding="utf-8")
+        else:
+            text = read_text(path)
+        try:
+            load(io.StringIO(text))
+        except ParseError as exc:
+            raise ParseError(f"{path}: {exc}") from None
     return lex

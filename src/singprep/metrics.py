@@ -19,7 +19,7 @@ from .dsp.pitch import (F0Contour, centered_frames, extract_f0, frame_count, nea
                         periodic_hann)
 from .errors import InputError
 from .jsonio import dumps_document
-from .lexicon import _is_han
+from .lexicon import split_words
 
 MCEP_ORDER = 13
 MCEP_WINDOW = 0.050
@@ -241,25 +241,7 @@ def wer(ref_tokens: list[str], hyp_tokens: list[str]) -> float | None:
 def tokenize_transcript(text: str) -> list[str]:
     """WER tokens: lowercased whitespace words for Latin script, one token
     per Han character; digits and punctuation are dropped."""
-    tokens: list[str] = []
-    word: list[str] = []
-
-    def flush():
-        if word:
-            tokens.append("".join(word))
-            word.clear()
-
-    for ch in text:
-        low = ch.lower()
-        if "a" <= low <= "z":
-            word.append(low)
-        elif _is_han(ch):
-            flush()
-            tokens.append(ch)
-        else:
-            flush()
-    flush()
-    return tokens
+    return [word.lower() for word, language in split_words(text) if language is not None]
 
 
 def cosine_sim(a, b) -> float:
@@ -329,9 +311,6 @@ def evaluate_pair(
 
 
 def _check_metrics(name: str, values: dict) -> None:
-    for key in values:
-        if key not in METRIC_NAMES:
-            raise InputError(f"{name}: unknown metric {key!r}")
     for key, v in values.items():
         if v is not None and not math.isfinite(v):
             raise InputError(f"{name}: {key}={v} is not finite")

@@ -146,7 +146,10 @@ def transform_score(score: Sequence[ScoreEvent], lexicon: Lexicon) -> Transforme
         if is_silence_label(tok.surface):
             expansion = (tok.surface,)
         else:
-            expansion = token_phones(tok, lexicon)
+            try:
+                expansion = token_phones(tok, lexicon)
+            except InputError as exc:
+                raise InputError(f"score event {i}: {exc}") from None
         phonemes.extend(expansion)
         langs.extend([tok.language] * len(expansion))
         notes.extend([ev.note_midi] * len(expansion))

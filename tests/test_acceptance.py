@@ -211,7 +211,7 @@ def test_08_pseudo_singing_melodies(capsys, clip, bank):
         for melody in bank.templates:
             out, rec = make_pseudo_singing(wave, words, phones, melody, 3, "u1")
             assert set(e.style_token for e in rec.events) == {2}
-            assert rec.total_duration() == pytest.approx(1.4, abs=1e-6)
+            assert sum(e.ph_dur for e in rec.events) == pytest.approx(1.4, abs=1e-6)
             target = render_melody(melody, n_frames)
             back = extract_f0(out)
             n = min(len(back.values), len(target.values))

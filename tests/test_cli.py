@@ -11,6 +11,7 @@ from singprep import AnnotationRecord, PhonemeEvent, load_melody_bank, write_man
 from singprep import cli
 from singprep.cli import build_parser, derive_seed, main
 from singprep.dsp import write_wav
+from singprep.errors import InputError
 from singprep.score import RatioTable
 from singprep.textgrid import AlignmentTier, Interval, serialize_textgrid, write_textgrid
 
@@ -59,32 +60,74 @@ class TestSeeds:
 
 
 def _square(x):
-    return x * x
+    """x squared; an input error for a negative x, a bug for 0."""
+    if x < 0:
+        raise InputError(f"negative: {x}")
+    return x ** 3 // x
 
 
 def _pid(_):
     return os.getpid()
 
 
+@pytest.fixture()
+def submitted(monkeypatch):
+    """The payloads run_batch submits to its pool, in order; the pool is one thread."""
+    import concurrent.futures
+
+    order = []
+
+    class OneThread(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers=1)
+
+        def submit(self, fn, worker, payload):
+            order.append(payload)
+            return super().submit(fn, worker, payload)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", OneThread)
+    return order
+
+
 class TestRunBatch:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_results_in_payload_order_when_size_reverses_it(self, workers):
-        seen = []
-        results = cli.run_batch(_square, [1, 2, 3, 4], workers, size=lambda p: p,
-                                stop=lambda r: seen.append(r))
-        assert results == [1, 4, 9, 16]
-        # One worker keeps payload order; a pool starts the largest first and
-        # tests stop on the results in the order it submitted them.
-        assert seen == ([1, 4, 9, 16] if workers == 1 else [16, 9, 4, 1])
+        results = cli.run_batch(_square, [1, 2, 3, 4], workers, size=lambda p: p)
+        assert results == [(1, 1, ""), (2, 4, ""), (3, 9, ""), (4, 16, "")]
 
-    def test_equal_sizes_keep_payload_order(self):
-        seen = []
-        cli.run_batch(_square, [1, 2, 3], 2, size=lambda p: 0, stop=lambda r: seen.append(r))
-        assert seen == [1, 4, 9]
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fail_fast_keeps_the_first_failure(self, workers):
+        # One worker runs in payload order and stops at -2; a pool starts the
+        # largest, -4, first, and what was already running may still finish.
+        results = cli.run_batch(_square, [1, -2, 3, -4], workers, size=abs, fail_fast=True)
+        if workers == 1:
+            assert results == [(1, 1, ""), (-2, None, "InputError: negative: -2")]
+        else:
+            assert (-4, None, "InputError: negative: -4") in results
+            assert results == sorted(results, key=lambda r: [1, -2, 3, -4].index(r[0]))
+
+    def test_pool_starts_the_largest_first(self, submitted):
+        cli.run_batch(_square, [1, 2, 3, 4], 2, size=lambda p: p)
+        assert submitted == [4, 3, 2, 1]
+
+    def test_equal_sizes_keep_payload_order(self, submitted):
+        cli.run_batch(_square, [1, 2, 3], 2, size=lambda p: 0)
+        assert submitted == [1, 2, 3]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_input_errors_fail_only_their_payload(self, workers):
+        results = cli.run_batch(_square, [-1, 2, -3], workers, size=abs)
+        assert results == [(-1, None, "InputError: negative: -1"), (2, 4, ""),
+                           (-3, None, "InputError: negative: -3")]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_other_exceptions_propagate(self, workers):
+        with pytest.raises(ZeroDivisionError):
+            cli.run_batch(_square, [1, 0, 3], workers, size=abs)
 
     def test_pool_only_for_more_than_one_payload(self):
-        assert cli.run_batch(_pid, [0], 4, size=abs) == [os.getpid()]
-        assert os.getpid() not in cli.run_batch(_pid, [0, 1], 2, size=abs)
+        assert cli.run_batch(_pid, [0], 4, size=abs) == [(0, os.getpid(), "")]
+        assert os.getpid() not in [pid for _, pid, _ in cli.run_batch(_pid, [0, 1], 2, size=abs)]
 
     def test_file_size_is_zero_for_a_path_that_cannot_be_stat_ed(self, tmp_path):
         (tmp_path / "f").write_bytes(b"abc")
@@ -141,6 +184,30 @@ class TestG2p:
 
     def test_out_of_vocabulary_word_fails(self):
         assert main(["g2p", "zzxqv"]) == 2
+
+    @pytest.mark.parametrize("env", [{}, {"LC_ALL": "C"}, {"PYTHONIOENCODING": "latin-1"}],
+                             ids=["default", "c-locale", "latin-1"])
+    def test_stdin_that_is_not_utf8_fails_naming_stdin(self, env):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from singprep.cli import main; "
+             "sys.exit(main(['g2p']))"],
+            input=b"\xe9\n", capture_output=True, timeout=120,
+            env={**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+                [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])})
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.decode().startswith(
+            "ERROR <stdin>: 'utf-8' codec can't decode byte 0xe9"), proc.stderr
+
+    def test_config_cmu_dict_replaces_the_bundled_one(self, tmp_path, capsys):
+        (tmp_path / "d.txt").write_text("ZZYZX  Z IH1 Z IH0 K S\n", encoding="utf-8")
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"cmu_dict: {tmp_path / 'd.txt'}\n", encoding="utf-8")
+        assert main(["g2p", "--config", str(cfg), "zzyzx"]) == 0
+        assert capsys.readouterr().out == "Z IH Z IH K S\n0 0 0 0 0 0\n"
+        assert main(["g2p", "cat"]) == 0  # bundled
+        assert main(["g2p", "--config", str(cfg), "cat"]) == 2
+        # the other two tables are still the bundled ones
+        assert main(["g2p", "--config", str(cfg), "我"]) == 0
 
 
 class TestTranscode:
@@ -446,6 +513,34 @@ class TestPseudo:
         assert "singer: must be a string" in summary["clip"]["error"]
         assert not (out_dir / "clip.json").exists()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_non_string_textgrid_fails_only_its_utterance(self, speech_manifest, workers):
+        manifest, tmp_path = speech_manifest
+        doc = json.loads(Path(manifest).read_text())
+        doc["utterances"].append({"utt_id": "bad", "audio": "clip.wav", "textgrid": 5})
+        write_json(Path(manifest), doc)
+        out_dir = tmp_path / "out"
+        assert main(["pseudo", "--manifest", manifest, "--workers", workers,
+                     "--output-dir", str(out_dir)]) == 2
+        summary = json.loads((out_dir / "summary.json").read_text())["utterances"]
+        assert summary["bad"] == {"error": f"InputError: {manifest}: utterance 'bad': "
+                                           "textgrid: must be a string, got 5",
+                                  "status": "error"}
+        assert summary["clip"]["status"] == summary["clip2"]["status"] == "ok"
+        assert (out_dir / "clip.wav").exists() and (out_dir / "clip2.wav").exists()
+
+    def test_internal_error_exits_1(self, speech_manifest, monkeypatch, caplog):
+        from singprep import pseudo
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken renderer")
+
+        monkeypatch.setattr(pseudo, "make_pseudo_singing", broken)
+        manifest, tmp_path = speech_manifest
+        assert main(["pseudo", "--manifest", manifest,
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert "internal error" in caplog.text and "broken renderer" in caplog.text
+
     def test_duplicate_utt_id_fails(self, tmp_path):
         wav, tg = write_clip_files(tmp_path, utt_id="clip")
         manifest = write_json(tmp_path / "manifest.json", {"utterances": [
@@ -655,6 +750,23 @@ class TestEval:
             assert report["aggregate"] == report["per_utterance"]["b"]
             assert list(report["failures"]) == ["a"]
             assert report["failures"]["a"].startswith(f"InputError: {bad}: not a readable WAV")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_non_string_field_fails_only_its_pair(self, eval_pair_files, workers):
+        ref, hyp, tmp_path = eval_pair_files
+        for path in (ref, hyp):
+            doc = json.loads(Path(path).read_text())
+            doc["utterances"].append(dict(doc["utterances"][0], utt_id="bad"))
+            if path == hyp:
+                doc["utterances"][1]["text"] = 5
+            write_json(Path(path), doc)
+        out = tmp_path / "report.json"
+        assert main(["eval", "--ref", ref, "--hyp", hyp, "--workers", workers,
+                     "--output", str(out)]) == 2
+        report = json.loads(out.read_text())
+        assert list(report["per_utterance"]) == ["clip"]
+        assert report["failures"] == {
+            "bad": f"InputError: {hyp}: utterance 'bad': text: must be a string, got 5"}
 
     def test_unscorable_pair_is_a_failure(self, eval_pair_files):
         # Embeddings of different shapes are read fine but cannot be scored.
@@ -890,6 +1002,12 @@ def test_malformed_input_exits_2(tmp_path, files, argv):
                  id="config-not-utf8"),
     pytest.param({"s.json": '{"events": [{"note": 60, "dur": 0.5, "slur": true}]}'}, _SCORE,
                  "s.json: score event 0", id="slur-without-lyric"),
+    pytest.param({"s.json": '[{"lyric": "cat", "note": 60, "dur": 0.5}, '
+                            '{"lyric": "zzyzx", "note": 62, "dur": 0.5}]'}, _SCORE,
+                 "s.json: score event 1: out-of-vocabulary English token",
+                 id="score-lyric-out-of-vocabulary"),
+    pytest.param({"l.txt": "cat zzyzx\n"}, ["g2p", "--input", "l.txt"],
+                 "l.txt: out-of-vocabulary English token", id="g2p-input-out-of-vocabulary"),
     pytest.param({"src.json": _SOURCES.replace('"Bass"', '"Bassoon"'), "tgt.json": _TARGETS},
                  _PLAN, "src.json: entry 0", id="plan-svc-unknown-voice-part"),
     pytest.param({"r.json": '{"c": {"phones": ["T", "S"], "weights": [0.0, 1.0]}}'}, _RATIOS,

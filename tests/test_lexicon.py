@@ -1,4 +1,6 @@
 import io
+import string
+import unicodedata
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +17,9 @@ from singprep import (
     segment_lyrics,
     split_pinyin,
 )
-from singprep.lexicon import DEFAULT_INITIALS, Lexicon, language_of, token_phones
+from singprep.lexicon import (DEFAULT_INITIALS, Lexicon, language_of, split_words,
+                              token_phones)
+from singprep.metrics import tokenize_transcript
 
 PINYIN_GOLDENS = {
     "rang": ["R", "AE", "NG"],
@@ -227,3 +231,24 @@ def test_g2p_lengths_and_token_values_property(words):
     seq = g2p(toks, lexicon)
     assert len(seq.phonemes) == len(seq.language_tokens)
     assert set(seq.language_tokens) <= {0, 1}
+
+
+def test_split_words_keeps_every_character_in_order():
+    assert split_words("Hi a我42İK!") == [("Hi", ENGLISH), (" ", None), ("a", ENGLISH),
+                                          ("我", MANDARIN), ("4", None), ("2", None),
+                                          ("İK", ENGLISH), ("!", None)]
+    assert split_words("") == []
+
+
+# What lyrics and transcripts share: Latin letters (with the two non-ASCII
+# capitals whose lowercase falls in a-z), bundled Han, digits, punctuation
+# and whitespace.
+_MIXED_ALPHABET = (string.ascii_letters + "İK" + "".join(default_lexicon().hanzi_readings)
+                   + string.digits + "٣" + " \t\n\u3000\xa0"
+                   + "".join(c for c in string.punctuation if unicodedata.category(c)[0] == "P")
+                   + "，。、！？「」")
+
+
+@given(st.text(alphabet=_MIXED_ALPHABET, max_size=40))
+def test_transcript_tokens_are_the_lowercased_lyric_tokens(text):
+    assert tokenize_transcript(text) == [t.surface.lower() for t in segment_lyrics(text)]

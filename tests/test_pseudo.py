@@ -210,7 +210,7 @@ class TestMakePseudoSinging:
         wave, words, phones = clip
         _, rec = make_pseudo_singing(wave, words, phones,
                                      bank.get("held_low"), 3, "u1")
-        assert rec.total_duration() == pytest.approx(1.4, abs=1e-9)
+        assert sum(e.ph_dur for e in rec.events) == pytest.approx(1.4, abs=1e-9)
 
     def test_notes_follow_melody_steps_at_midpoints(self, clip, bank):
         wave, words, phones = clip
