@@ -306,7 +306,7 @@ def _pseudo_worker(payload: tuple) -> str:
     from .dsp.audio import read_wav, write_wav
     from .pseudo import make_pseudo_singing
 
-    entry, bank, seed, out_dir, hop, manifest = payload
+    entry, bank, seed, out_dir, manifest = payload
     utt_id = entry["utt_id"]
     _check_strings(entry, ("audio", "textgrid", "singer"), manifest)
     wave = read_wav(entry["audio"])
@@ -316,7 +316,7 @@ def _pseudo_worker(payload: tuple) -> str:
     rendered, record = make_pseudo_singing(
         wave, word_tier, phone_tier, melody, utt_seed,
         utt_id=utt_id, audio_path=f"{utt_id}.wav",
-        singer_id=entry.get("singer", ""), hop=hop,
+        singer_id=entry.get("singer", ""),
     )
     write_wav(rendered, Path(out_dir) / f"{utt_id}.wav")
     write_annotation(record, Path(out_dir) / f"{utt_id}.json")
@@ -334,17 +334,16 @@ def cmd_pseudo(args, cfg: PipelineConfig) -> int:
         utt_id = entry["utt_id"]
         if Path(utt_id).name != utt_id or utt_id in (".", ".."):
             raise InputError(f"{args.manifest}: utt_id {utt_id!r} is not a plain file name")
-    bank_path = args.melody_bank if args.melody_bank is not None else cfg.melody_bank
-    bank = load_melody_bank(bank_path)
+    bank = load_melody_bank(cfg.melody_bank)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    payloads = [(e, bank, cfg.seed, str(out_dir), cfg.hop, args.manifest) for e in entries]
+    payloads = [(e, bank, cfg.seed, str(out_dir), args.manifest) for e in entries]
     audio_size = lambda payload: _file_size(payload[0]["audio"])
     results = run_batch(_pseudo_worker, payloads, cfg.workers, audio_size, not args.keep_going)
 
     # Keys are built in sorted order, as summary.json has always listed them.
     summary: dict = {
-        "melody_bank": bank_path if bank_path is not None else "builtin",
+        "melody_bank": cfg.melody_bank if cfg.melody_bank is not None else "builtin",
         "seed": cfg.seed,
         "utterances": {},
     }
@@ -514,6 +513,7 @@ def main(argv=None) -> int:
         "seed": getattr(args, "seed", None),
         "workers": getattr(args, "workers", None),
         "strategy": getattr(args, "strategy", None),
+        "melody_bank": getattr(args, "melody_bank", None),
     }
     try:
         cfg = resolve_config(getattr(args, "config", None), overrides)

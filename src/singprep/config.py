@@ -6,19 +6,17 @@ typo never silently falls back to a default.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 from .errors import InputError, ParseError
 
 STRATEGIES = ("average", "proportional")
 # Value types accepted per field annotation; a YAML boolean is never a number.
-_TYPES = {"float": (int, float), "int": int, "str": str, "str | None": (str, type(None))}
+_TYPES = {"int": int, "str": str, "str | None": (str, type(None))}
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    hop: float = 0.005
     melody_bank: str | None = None
     cmu_dict: str | None = None
     pinyin_map: str | None = None
@@ -32,10 +30,8 @@ class PipelineConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, _TYPES[f.type]):
                 raise InputError(f"config: {f.name} must be {f.type}, got {value!r}")
-        for name in ("hop", "workers"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise InputError(f"config: {name} must be positive and finite, got {value}")
+        if self.workers <= 0:
+            raise InputError(f"config: workers must be positive, got {self.workers}")
         if self.strategy not in STRATEGIES:
             raise InputError(
                 f"config: strategy must be one of {', '.join(STRATEGIES)}, got {self.strategy!r}"

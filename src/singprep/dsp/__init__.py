@@ -14,7 +14,6 @@ from .vocoder import (
     AnalysisResult,
     analyze,
     band_edges,
-    replace_f0,
     synthesize,
 )
 
@@ -30,7 +29,6 @@ __all__ = [
     "midi_from_hz",
     "nearest_midi",
     "read_wav",
-    "replace_f0",
     "resample",
     "synthesize",
     "transpose_f0",

@@ -40,15 +40,12 @@ class F0Contour:
     """Frame-rate pitch track; value 0.0 marks an unvoiced frame."""
 
     values: np.ndarray
-    hop: float = DEFAULT_HOP
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", values)
         if values.ndim != 1:
             raise InputError("F0 contour must be 1-D")
-        if not (math.isfinite(self.hop) and self.hop > 0):
-            raise InputError(f"hop must be positive and finite, got {self.hop}")
         if not np.all(np.isfinite(values)) or np.any(values < 0):
             raise InputError("F0 values must be finite and nonnegative")
 
@@ -163,7 +160,7 @@ def extract_f0(waveform: Waveform, hop: float = DEFAULT_HOP) -> F0Contour:
             delta = np.clip(np.where(denom > 0, 0.5 * (a - c) / denom, 0.0), -0.5, 0.5)
         f0 = np.minimum(np.maximum(sr / (tau + delta), DEFAULT_FMIN), DEFAULT_FMAX)
         values[b0:b0 + _BLOCK] = np.where(voiced, f0, 0.0)
-    return F0Contour(values, hop)
+    return F0Contour(values)
 
 
 def midi_from_hz(f: float) -> float:
@@ -192,4 +189,4 @@ def transpose_f0(contour: F0Contour, semitones: float, max_hz: float | None = No
             semitones, max_hz, int(np.sum(values > max_hz)),
         )
         values = np.minimum(values, max_hz)
-    return F0Contour(values, contour.hop)
+    return F0Contour(values)

@@ -14,7 +14,7 @@ so it no longer grows with the frame count through per-frame spectra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -48,37 +48,22 @@ def band_edges(sample_rate: int) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class AnalysisResult:
-    """Aligned per-frame streams: F0, spectral envelope, band aperiodicity."""
+    """Aligned per-frame streams on the fixed grid (DEFAULT_HOP frames,
+    DEFAULT_FFT spectra, band_edges bands): F0, spectral envelope, band
+    aperiodicity."""
 
     f0: F0Contour
-    envelope: np.ndarray      # (n_frames, fft_size // 2 + 1), linear power
-    aperiodicity: np.ndarray  # (n_frames, n_bands), each in [0, 1]
+    envelope: np.ndarray      # (n_frames, DEFAULT_FFT // 2 + 1), linear power
+    aperiodicity: np.ndarray  # (n_frames, DEFAULT_BANDS), each in [0, 1]
     sample_rate: int
-    fft_size: int
-    edges: tuple[float, ...]
-
-    def __post_init__(self):
-        env = np.asarray(self.envelope, dtype=np.float64)
-        ap = np.asarray(self.aperiodicity, dtype=np.float64)
-        object.__setattr__(self, "envelope", env)
-        object.__setattr__(self, "aperiodicity", ap)
-        n = len(self.f0)
-        if env.shape != (n, self.fft_size // 2 + 1):
-            raise InputError(f"envelope shape {env.shape} does not match {n} frames")
-        if ap.shape != (n, len(self.edges) - 1):
-            raise InputError(f"aperiodicity shape {ap.shape} does not match {n} frames")
-        if n and (not np.all(env > 0) or not np.all(np.isfinite(env))):
-            raise InputError("envelope values must be positive and finite")
-        if n and (np.any(ap < 0) or np.any(ap > 1)):
-            raise InputError("aperiodicity must lie in [0, 1]")
 
     @property
     def n_frames(self) -> int:
         return len(self.f0)
 
 
-def analyze(waveform: Waveform, hop: float = DEFAULT_HOP) -> AnalysisResult:
-    """Full source-filter analysis at a fixed frame hop and DEFAULT_FFT size.
+def analyze(waveform: Waveform) -> AnalysisResult:
+    """Full source-filter analysis at the DEFAULT_HOP frame hop and DEFAULT_FFT size.
 
     The envelope is the short-time power spectrum smoothed by cepstral
     liftering below the pitch period, which strips harmonic ripple and keeps
@@ -87,8 +72,8 @@ def analyze(waveform: Waveform, hop: float = DEFAULT_HOP) -> AnalysisResult:
     unvoiced frames are fully aperiodic.
     """
     sr = waveform.sample_rate
-    f0 = extract_f0(waveform, hop=hop)
-    hop_samples = max(1, int(round(hop * sr)))
+    f0 = extract_f0(waveform, DEFAULT_HOP)
+    hop_samples = max(1, int(round(DEFAULT_HOP * sr)))
     n = frame_count(len(waveform), hop_samples)
 
     win = periodic_hann(DEFAULT_FFT)
@@ -164,18 +149,7 @@ def analyze(waveform: Waveform, hop: float = DEFAULT_HOP) -> AnalysisResult:
                        r_tau / r0 * corr, 0.0)
     ap = np.ones((n, DEFAULT_BANDS))
     ap[voiced_idx] = np.clip(1.0 - rho, 0.0, 1.0)
-    return AnalysisResult(f0, envelope, ap, sr, DEFAULT_FFT, edges)
-
-
-def replace_f0(analysis: AnalysisResult, target: F0Contour) -> AnalysisResult:
-    """Swap in a new F0 contour; envelope and aperiodicity stay untouched."""
-    if len(target) != analysis.n_frames:
-        raise InputError(
-            f"replacement contour has {len(target)} frames, analysis has {analysis.n_frames}"
-        )
-    if abs(target.hop - analysis.f0.hop) > 1e-12:
-        raise InputError("replacement contour must use the analysis hop")
-    return dc_replace(analysis, f0=target)
+    return AnalysisResult(f0, envelope, ap, sr)
 
 
 def _pulse_train(f0: np.ndarray, hop: int, sr: int) -> np.ndarray:
@@ -208,48 +182,47 @@ def synthesize(analysis: AnalysisResult, rng: np.random.Generator | None = None)
     """Render audio from an analysis: filtered pulse train plus shaped noise.
 
     Deterministic for a given rng seed (the noise source is the only
-    randomness). Output length is n_frames * hop within one frame.
+    randomness). Output length is n_frames * DEFAULT_HOP within one frame.
     """
     if analysis.n_frames == 0:
         raise InputError("cannot synthesize from a zero-frame analysis")
     sr = analysis.sample_rate
     rng = np.random.default_rng(0) if rng is None else rng
     n = analysis.n_frames
-    fft_size = analysis.fft_size
-    hop = max(1, int(round(analysis.f0.hop * sr)))
+    hop = max(1, int(round(DEFAULT_HOP * sr)))
     length = n * hop
 
     pulses = _pulse_train(analysis.f0.values, hop, sr)
     noise = rng.standard_normal(length)
 
-    win = periodic_hann(fft_size)
-    freqs = np.arange(fft_size // 2 + 1) * sr / fft_size
+    win = periodic_hann(DEFAULT_FFT)
+    freqs = np.arange(DEFAULT_FFT // 2 + 1) * sr / DEFAULT_FFT
     # band of each bin; bins at or above the top edge take the top band
-    band_of_bin = np.minimum(np.searchsorted(analysis.edges, freqs, side="right") - 1,
-                             len(analysis.edges) - 2)
-    half = fft_size // 2
-    pulse_frames = centered_frames(pulses, n, hop, fft_size)
-    noise_frames = centered_frames(noise, n, hop, fft_size)
+    band_of_bin = np.minimum(np.searchsorted(band_edges(sr), freqs, side="right") - 1,
+                             DEFAULT_BANDS - 1)
+    half = DEFAULT_FFT // 2
+    pulse_frames = centered_frames(pulses, n, hop, DEFAULT_FFT)
+    noise_frames = centered_frames(noise, n, hop, DEFAULT_FFT)
 
     # weighted overlap-add in hop-sized chunks: frame i puts its chunk c at
     # output chunk i + c. Adding chunk offsets in descending order adds each
     # output sample's frames in ascending frame order, block after block.
-    n_chunks = -(-fft_size // hop)
+    n_chunks = -(-DEFAULT_FFT // hop)
     span = n_chunks * hop
     out = np.zeros((n + n_chunks, hop))
     norm = np.zeros((n + n_chunks, hop))
-    win_sq = np.pad(win * win, (0, span - fft_size)).reshape(n_chunks, hop)
+    win_sq = np.pad(win * win, (0, span - DEFAULT_FFT)).reshape(n_chunks, hop)
     for c in range(n_chunks - 1, -1, -1):
         norm[c:c + n] += win_sq[c]
     for b0 in range(0, n, _BLOCK):
         b1 = min(b0 + _BLOCK, n)
-        spec_p = rfft(pulse_frames[b0:b1] * win, fft_size, axis=1)
-        spec_n = rfft(noise_frames[b0:b1] * win, fft_size, axis=1)
+        spec_p = rfft(pulse_frames[b0:b1] * win, DEFAULT_FFT, axis=1)
+        spec_n = rfft(noise_frames[b0:b1] * win, DEFAULT_FFT, axis=1)
         amp = np.sqrt(analysis.envelope[b0:b1])
         ap_bins = analysis.aperiodicity[b0:b1][:, band_of_bin]
         shaped = spec_p * amp * np.sqrt(1.0 - ap_bins) + spec_n * amp * np.sqrt(ap_bins)
         segs = np.zeros((b1 - b0, span))
-        segs[:, :fft_size] = irfft(shaped, fft_size, axis=1) * win
+        segs[:, :DEFAULT_FFT] = irfft(shaped, DEFAULT_FFT, axis=1) * win
         segs = segs.reshape(b1 - b0, n_chunks, hop)
         for c in range(n_chunks - 1, -1, -1):
             out[b0 + c:b1 + c] += segs[:, c]

@@ -9,12 +9,17 @@ from __future__ import annotations
 
 import json
 
-from .errors import ParseError
+from .errors import InputError, ParseError
 
 
 def read_text(path) -> str:
-    """The text of the UTF-8 file at path; ParseError naming it if it is not UTF-8."""
-    with open(path, encoding="utf-8") as fh:
+    """The text of the UTF-8 file at path; ParseError naming it if it is not UTF-8,
+    InputError if path cannot name a file."""
+    try:
+        fh = open(path, encoding="utf-8")
+    except ValueError as exc:  # a NUL byte or an unencodable character in the name
+        raise InputError(f"{path!r}: not a file name: {exc}") from None
+    with fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:

@@ -176,8 +176,16 @@ class Lexicon:
 
     def lookup_pinyin(self, syllable: str) -> tuple[str, ...]:
         """Phones for a toneless syllable; composes initial+final if the
-        syllable has no direct entry."""
+        syllable has no direct entry.
+
+        A syllable needs a real final: an initial alone is no syllable, and a
+        composed final must be a unit other than an initial that expands to
+        at least one CMU vowel. So bp, zhzh and the syllabic-nasal
+        interjections m, n, ng and hm raise OovError.
+        """
         syl = syllable.lower()
+        if self.is_initial(syl):
+            raise OovError(syllable, MANDARIN)
         hit = self.pinyin_entries.get(syl)
         if hit is not None:
             return hit
@@ -192,7 +200,7 @@ class Lexicon:
                 final_phones = self.pinyin_entries.get(final)
         else:
             final_phones = self.pinyin_entries.get(final)
-        if final_phones is None:
+        if final_phones is None or self.is_initial(final) or CMU_VOWELS.isdisjoint(final_phones):
             raise OovError(syllable, MANDARIN)
         if not initial:
             return final_phones

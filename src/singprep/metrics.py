@@ -48,19 +48,13 @@ _DCT_BASIS = math.sqrt(2.0 / _N_MELS) * np.cos(
 class McepFrames:
     """Mel-cepstral coefficient frames c_1..c_K (energy term excluded)."""
 
-    frames: np.ndarray  # (n_frames, order)
-    hop: float = MCEP_HOP
-    order: int = MCEP_ORDER
+    frames: np.ndarray  # (n_frames, MCEP_ORDER)
 
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=np.float64)
         object.__setattr__(self, "frames", frames)
-        if frames.ndim != 2 or frames.shape[1] != self.order:
-            raise InputError(
-                f"frames must be (n, {self.order}), got shape {frames.shape}"
-            )
-        if not (math.isfinite(self.hop) and self.hop > 0):
-            raise InputError(f"hop must be positive and finite, got {self.hop}")
+        if frames.ndim != 2:
+            raise InputError(f"frames must be 2-D, got shape {frames.shape}")
         if not np.all(np.isfinite(frames)):
             raise InputError("mel-cepstral frames must be finite")
 
@@ -114,7 +108,7 @@ def mcep(waveform: Waveform) -> McepFrames:
     mel = spec @ fb.T
     floor = np.maximum(mel.max(axis=1, keepdims=True) * _REL_FLOOR, _ABS_FLOOR)
     logmel = np.log(np.maximum(mel, floor))
-    return McepFrames(logmel @ _DCT_BASIS.T, MCEP_HOP, MCEP_ORDER)
+    return McepFrames(logmel @ _DCT_BASIS.T)
 
 
 def dtw_align(a: McepFrames, b: McepFrames) -> list[tuple[int, int]]:

@@ -7,11 +7,13 @@ melody template, resynthesizes it, and annotates the result as style 2
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .annotation import AnnotationRecord
 from .dsp.pitch import DEFAULT_HOP, F0Contour, hz_from_midi
-from .dsp.vocoder import analyze, replace_f0, synthesize
+from .dsp.vocoder import analyze, synthesize
 from .dsp.audio import Waveform
 from .errors import InputError, ValidationError
 from .lexicon import CMU_PHONES, language_of
@@ -45,14 +47,14 @@ def _step_spans(template: MelodyTemplate, n_frames: int) -> list[tuple[int, int,
     return spans
 
 
-def render_melody(template: MelodyTemplate, n_frames: int, hop: float = DEFAULT_HOP) -> F0Contour:
-    """Expand a template to a frame-rate F0 contour of exactly n_frames."""
+def render_melody(template: MelodyTemplate, n_frames: int) -> F0Contour:
+    """Expand a template to a DEFAULT_HOP-rate F0 contour of exactly n_frames."""
     if n_frames <= 0:
         raise InputError(f"n_frames must be positive, got {n_frames}")
     values = np.empty(n_frames)
     for start, end, midi in _step_spans(template, n_frames):
         values[start:end] = hz_from_midi(midi)
-    return F0Contour(values, hop)
+    return F0Contour(values)
 
 
 def _normalize_phone(label: str) -> str:
@@ -90,7 +92,6 @@ def make_pseudo_singing(
     utt_id: str,
     audio_path: str = "",
     singer_id: str = "",
-    hop: float = DEFAULT_HOP,
 ) -> tuple[Waveform, AnnotationRecord]:
     """Swap speech pitch for a melody and annotate the result as style 2.
 
@@ -105,16 +106,15 @@ def make_pseudo_singing(
             f"alignment spans {span:.3f}s but audio lasts {waveform.duration:.3f}s"
         )
 
-    analysis = analyze(waveform, hop=hop)
+    analysis = analyze(waveform)
     n = analysis.n_frames
-    target = render_melody(melody, n, hop)
-    masked = F0Contour(np.where(analysis.f0.voiced, target.values, 0.0), hop)
-    rendered = synthesize(replace_f0(analysis, masked), rng=np.random.default_rng(seed))
+    masked = F0Contour(np.where(analysis.f0.voiced, render_melody(melody, n).values, 0.0))
+    rendered = synthesize(replace(analysis, f0=masked), rng=np.random.default_rng(seed))
 
     spans = _step_spans(melody, n)
     events = []
     for iv, ph, word in _speech_phone_events(word_tier, phone_tier):
-        mid_frame = (iv.start + iv.end) / 2.0 / hop
+        mid_frame = (iv.start + iv.end) / 2.0 / DEFAULT_HOP
         start, end, midi = next(
             (s for s in spans if s[0] <= mid_frame < s[1]), spans[-1]
         )
@@ -123,7 +123,7 @@ def make_pseudo_singing(
                 phoneme=ph,
                 ph_dur=iv.end - iv.start,
                 note_midi=midi,
-                note_dur=(end - start) * hop,
+                note_dur=(end - start) * DEFAULT_HOP,
                 is_slur=False,
                 language_token=language_of(word.label),
                 style_token=PSEUDO_SINGING,

@@ -265,7 +265,7 @@ def extract_f0_oracle(waveform: Waveform, hop: float = DEFAULT_HOP) -> F0Contour
             delta = 0.0
         f0 = sr / (tau + delta)
         values[i] = min(max(f0, DEFAULT_FMIN), DEFAULT_FMAX)
-    return F0Contour(values, hop)
+    return F0Contour(values)
 
 
 def analyze_oracle(waveform: Waveform, hop: float = DEFAULT_HOP) -> AnalysisResult:
@@ -338,7 +338,7 @@ def analyze_oracle(waveform: Waveform, hop: float = DEFAULT_HOP) -> AnalysisResu
                 rho = np.where(r0 > 1e-12 * np.max(r0, initial=0.0) + 1e-300,
                                r_tau / r0 * corr, 0.0)
             ap[voiced_idx, b] = np.clip(1.0 - rho, 0.0, 1.0)
-    return AnalysisResult(f0, envelope, ap, sr, DEFAULT_FFT, edges)
+    return AnalysisResult(f0, envelope, ap, sr)
 
 
 def _ap_per_bin_oracle(ap_row: np.ndarray, freqs: np.ndarray, edges: tuple[float, ...]) -> np.ndarray:
@@ -361,8 +361,8 @@ def synthesize_oracle(analysis: AnalysisResult, rng: np.random.Generator | None 
     sr = analysis.sample_rate
     rng = np.random.default_rng(0) if rng is None else rng
     n = analysis.n_frames
-    fft_size = analysis.fft_size
-    hop = max(1, int(round(analysis.f0.hop * sr)))
+    fft_size = DEFAULT_FFT
+    hop = max(1, int(round(DEFAULT_HOP * sr)))
     length = n * hop
 
     f0_samp = np.repeat(analysis.f0.values, hop)[:length]
@@ -403,7 +403,7 @@ def synthesize_oracle(analysis: AnalysisResult, rng: np.random.Generator | None 
     norm = np.zeros(length + fft_size)
     win_sq = win * win
     for i in range(n):
-        ap_bins = _ap_per_bin_oracle(analysis.aperiodicity[i], freqs, analysis.edges)
+        ap_bins = _ap_per_bin_oracle(analysis.aperiodicity[i], freqs, band_edges(sr))
         shaped = spec_p[i] * amp[i] * np.sqrt(1.0 - ap_bins) \
             + spec_n[i] * amp[i] * np.sqrt(ap_bins)
         seg = irfft(shaped, fft_size)

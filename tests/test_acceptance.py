@@ -33,7 +33,6 @@ from singprep import (
 )
 from singprep.cli import main
 from singprep.dsp import analyze, extract_f0, midi_from_hz, synthesize, transpose_f0
-from singprep.metrics import MCEP_HOP
 
 from helpers import SR, sine, speech_clip, write_clip_files
 from oracles import wer_oracle
@@ -235,14 +234,14 @@ def test_09_metric_correctness(capsys, clip):
         base = frame_rng.standard_normal((60, 13))
         offset = frame_rng.standard_normal(13) * 0.25
         path = [(i, i) for i in range(60)]
-        got = mcd_from_frames(McepFrames(base, MCEP_HOP, 13),
-                              McepFrames(base + offset, MCEP_HOP, 13), path)
+        got = mcd_from_frames(McepFrames(base),
+                              McepFrames(base + offset), path)
         expected = (10.0 / math.log(10)) * math.sqrt(2.0 * float(offset @ offset))
         assert abs(got - expected) <= 1e-6
 
         from singprep.dsp import F0Contour
-        ref_c = F0Contour(np.full(80, 220.0), MCEP_HOP)
-        hyp_c = F0Contour(np.full(80, 440.0), MCEP_HOP)
+        ref_c = F0Contour(np.full(80, 220.0))
+        hyp_c = F0Contour(np.full(80, 440.0))
         assert abs(f0_rmse(ref_c, hyp_c, [(i, i) for i in range(80)])
                    - math.log(2)) <= 1e-9
 

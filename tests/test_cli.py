@@ -3,13 +3,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from singprep import AnnotationRecord, PhonemeEvent, load_melody_bank, write_manifest
 from singprep import cli
 from singprep.cli import build_parser, derive_seed, main
+from singprep.config import PipelineConfig
 from singprep.dsp import write_wav
 from singprep.errors import InputError
 from singprep.score import RatioTable
@@ -821,6 +824,19 @@ class TestConfig:
                      "--manifest", manifest, "--output-dir", str(out_dir)]) == 0
         assert json.loads((out_dir / "summary.json").read_text())["seed"] == 9
 
+    def test_melody_bank_flag_overrides_file(self, speech_manifest):
+        manifest, tmp_path = speech_manifest
+        bank = tmp_path / "bank.json"
+        bank.write_text('{"templates": [{"id": "low", "steps": [[60, 1]]}]}')
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("melody_bank: missing.json\n")
+        out_dir = tmp_path / "out"
+        assert main(["pseudo", "--config", str(cfg), "--melody-bank", str(bank),
+                     "--manifest", manifest, "--output-dir", str(out_dir)]) == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["melody_bank"] == str(bank)
+        assert {u["melody"] for u in summary["utterances"].values()} == {"low"}
+
     def test_file_strategy_used(self, tmp_path):
         manifest = cun_manifest(tmp_path / "in.json")
         cfg = tmp_path / "cfg.yaml"
@@ -855,21 +871,49 @@ class TestConfig:
         cfg.write_text("strategy: [\n")
         assert main(["adapt", "--config", str(cfg), "--input", manifest]) == 2
 
-    @pytest.mark.parametrize("line", ['workers: "4"', "seed: 1.5", 'hop: "x"', "workers: true",
-                                      "cmu_dict: 3", "hop: .nan", "hop: .inf"])
+    @pytest.mark.parametrize("line", ['workers: "4"', "seed: 1.5", 'seed: "x"', "workers: true",
+                                      "cmu_dict: 3", "workers: .nan", "workers: .inf"])
     def test_wrong_typed_or_nonfinite_value_rejected(self, tmp_path, line):
         manifest = cun_manifest(tmp_path / "in.json")
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(line + "\n")
         assert main(["adapt", "--config", str(cfg), "--input", manifest]) == 2
 
-    @pytest.mark.parametrize("key", ["sample_rate", "f0_min", "f0_max", "mcep_order"])
+    @pytest.mark.parametrize("key", ["sample_rate", "f0_min", "f0_max", "mcep_order", "hop"])
     def test_removed_key_rejected(self, tmp_path, caplog, key):
         manifest = cun_manifest(tmp_path / "in.json")
         cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(f"{key}: 100\n")
+        cfg.write_text(f"{key}: 0.005\n")
         assert main(["adapt", "--config", str(cfg), "--input", manifest]) == 2
-        assert "unknown config keys" in caplog.text
+        assert f"unknown config keys: {key}" in caplog.text
+
+
+_CONFIG_KEYS = [f.name for f in fields(PipelineConfig)]
+# YAML scalars and collections as they are spelled in a file: 1e400 (no dot)
+# loads as a string and 1.0e+400 as an infinite float; "a\\0b" holds a NUL.
+_YAML_VALUES = st.one_of(
+    st.sampled_from(["1e400", "1.0e+400", "-1.0e+400", ".nan", ".inf", "-.inf", "null", "~",
+                     "", "true", "no", "0", "-3", "1.5", "[1, 2]", "[]", "{a: 1}", "2001-12-14",
+                     "!!binary aGk=", '"a\\0b"', '"\\ud800"', ".", "average", "missing.txt"]),
+    st.integers().map(str),
+    st.text(max_size=12).map(json.dumps),
+)
+_YAML_KEYS = st.sampled_from([*_CONFIG_KEYS, "hop", "sedd", "1", "true", "null", "[a]"])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(_YAML_KEYS, _YAML_VALUES), max_size=5))
+def test_config_fuzz_exits_0_or_2(tmp_path_factory, caplog, capsys, items):
+    cfg = tmp_path_factory.getbasetemp() / "fuzz.yaml"
+    cfg.write_text("".join(f"{key}: {value}\n" for key, value in items), encoding="utf-8")
+    caplog.clear()
+    code = main(["g2p", "--config", str(cfg), "cat"])
+    capsys.readouterr()
+    assert code in (0, 2), caplog.text
+    assert not any(r.exc_info for r in caplog.records), caplog.text
+    if any(key not in _CONFIG_KEYS for key, _ in items):
+        assert code == 2
 
 
 # -- exit code 2 for malformed input -------------------------------------------
@@ -1006,6 +1050,10 @@ def test_malformed_input_exits_2(tmp_path, files, argv):
                             '{"lyric": "zzyzx", "note": 62, "dur": 0.5}]'}, _SCORE,
                  "s.json: score event 1: out-of-vocabulary English token",
                  id="score-lyric-out-of-vocabulary"),
+    pytest.param({"s.json": '[{"lyric": "ba", "lang": "cn", "note": 60, "dur": 0.5}, '
+                            '{"lyric": "bp", "lang": "cn", "note": 62, "dur": 0.5}]'}, _SCORE,
+                 "s.json: score event 1: out-of-vocabulary Mandarin token",
+                 id="score-pinyin-without-a-final"),
     pytest.param({"l.txt": "cat zzyzx\n"}, ["g2p", "--input", "l.txt"],
                  "l.txt: out-of-vocabulary English token", id="g2p-input-out-of-vocabulary"),
     pytest.param({"src.json": _SOURCES.replace('"Bass"', '"Bassoon"'), "tgt.json": _TARGETS},

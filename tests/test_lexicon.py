@@ -17,7 +17,7 @@ from singprep import (
     segment_lyrics,
     split_pinyin,
 )
-from singprep.lexicon import (DEFAULT_INITIALS, Lexicon, language_of, split_words,
+from singprep.lexicon import (CMU_VOWELS, DEFAULT_INITIALS, Lexicon, language_of, split_words,
                               token_phones)
 from singprep.metrics import tokenize_transcript
 
@@ -220,7 +220,18 @@ class TestLexiconInvariants:
 
     def test_hanzi_readings_resolve(self, lexicon):
         for char, reading in lexicon.hanzi_readings.items():
-            assert lexicon.lookup_pinyin(reading)
+            assert not CMU_VOWELS.isdisjoint(lexicon.lookup_pinyin(reading)), (char, reading)
+
+    @pytest.mark.parametrize("syllable", ["bp", "zhzh", "b", "sh", "m", "n", "ng", "hm"])
+    def test_syllable_without_a_real_final_raises(self, lexicon, syllable):
+        with pytest.raises(OovError, match=repr(syllable)):
+            lexicon.lookup_pinyin(syllable)
+
+    def test_final_without_a_vowel_raises(self):
+        lex = Lexicon().load_pinyin_map(io.StringIO("b B\nng NG\nang AE NG\n"))
+        assert lex.lookup_pinyin("bang") == ("B", "AE", "NG")
+        with pytest.raises(OovError):
+            lex.lookup_pinyin("bng")
 
 
 @given(st.lists(st.sampled_from(["我", "和", "你", "cat", "fan", "story", "one"]),

@@ -23,7 +23,7 @@ from singprep import (
     vuv_error,
     wer,
 )
-from singprep.metrics import (_DCT_BASIS, _N_MELS, MCEP_HOP, MCEP_ORDER, MCEP_RATE,
+from singprep.metrics import (_DCT_BASIS, _N_MELS, MCEP_ORDER, MCEP_RATE,
                               McepFrames, read_embedding)
 from singprep.dsp import F0Contour, Waveform, resample
 
@@ -45,8 +45,6 @@ class TestMcep:
     def test_frame_shape(self):
         frames = mcep(sine(220.0, 1.0, sr=MCEP_RATE))
         assert frames.frames.shape[1] == 13
-        assert frames.order == 13
-        assert frames.hop == MCEP_HOP
 
     def test_wrong_rate_rejected(self):
         with pytest.raises(InputError, match="24000"):
@@ -78,20 +76,20 @@ class TestMcep:
 class TestDtwAlign:
     def test_identical_sequences_take_diagonal(self):
         rng = np.random.default_rng(0)
-        a = McepFrames(rng.standard_normal((6, 3)), MCEP_HOP, 3)
+        a = McepFrames(rng.standard_normal((6, 3)))
         assert dtw_align(a, a) == diag(6)
 
     def test_path_boundaries(self):
         rng = np.random.default_rng(1)
-        a = McepFrames(rng.standard_normal((5, 3)), MCEP_HOP, 3)
-        b = McepFrames(rng.standard_normal((8, 3)), MCEP_HOP, 3)
+        a = McepFrames(rng.standard_normal((5, 3)))
+        b = McepFrames(rng.standard_normal((8, 3)))
         path = dtw_align(a, b)
         assert path[0] == (0, 0) and path[-1] == (4, 7)
 
     def test_path_monotone_with_unit_steps(self):
         rng = np.random.default_rng(2)
-        a = McepFrames(rng.standard_normal((7, 3)), MCEP_HOP, 3)
-        b = McepFrames(rng.standard_normal((5, 3)), MCEP_HOP, 3)
+        a = McepFrames(rng.standard_normal((7, 3)))
+        b = McepFrames(rng.standard_normal((5, 3)))
         path = dtw_align(a, b)
         for (i0, j0), (i1, j1) in zip(path, path[1:]):
             assert (i1 - i0, j1 - j0) in {(0, 1), (1, 0), (1, 1)}
@@ -100,8 +98,8 @@ class TestDtwAlign:
         rng = np.random.default_rng(3)
         base = rng.standard_normal((5, 3))
         dup = np.insert(base, 2, base[2], axis=0)
-        a = McepFrames(base, MCEP_HOP, 3)
-        b = McepFrames(dup, MCEP_HOP, 3)
+        a = McepFrames(base)
+        b = McepFrames(dup)
         path = dtw_align(a, b)
         cost = sum(np.linalg.norm(base[i] - dup[j]) for i, j in path)
         assert cost == pytest.approx(0.0, abs=1e-12)
@@ -112,7 +110,7 @@ class TestDtwAlign:
         n, m = rng.integers(2, 7, size=2)
         a = rng.standard_normal((n, 4))
         b = rng.standard_normal((m, 4))
-        path = dtw_align(McepFrames(a, MCEP_HOP, 4), McepFrames(b, MCEP_HOP, 4))
+        path = dtw_align(McepFrames(a), McepFrames(b))
         cost = sum(np.linalg.norm(a[i] - b[j]) for i, j in path)
         assert cost == pytest.approx(dtw_oracle_cost(a, b), rel=1e-9)
 
@@ -134,8 +132,8 @@ class TestDtwAlignMatchesFrozenOracle:
     def test_random_shapes(self, shape):
         rng = np.random.default_rng(sum(shape))
         n, m = shape
-        assert_matches_oracle(McepFrames(rng.standard_normal((n, 5)), MCEP_HOP, 5),
-                              McepFrames(rng.standard_normal((m, 5)), MCEP_HOP, 5))
+        assert_matches_oracle(McepFrames(rng.standard_normal((n, 5))),
+                              McepFrames(rng.standard_normal((m, 5))))
 
     @pytest.mark.parametrize("trial", range(40))
     def test_integer_frames_with_exact_ties(self, trial):
@@ -143,7 +141,7 @@ class TestDtwAlignMatchesFrozenOracle:
         n, m = rng.integers(1, 25, size=2)
         a = rng.integers(-1, 2, size=(n, 2)).astype(float)
         b = rng.integers(-1, 2, size=(m, 2)).astype(float)
-        assert_matches_oracle(McepFrames(a, MCEP_HOP, 2), McepFrames(b, MCEP_HOP, 2))
+        assert_matches_oracle(McepFrames(a), McepFrames(b))
 
     def test_mcep_frames_of_unequal_clips(self):
         w, _, _ = speech_clip()
@@ -165,7 +163,7 @@ def test_dtw_align_oracle_property(n, m, seed, integer):
         b = rng.integers(-2, 3, size=(m, 3)).astype(float)
     else:
         a, b = rng.standard_normal((n, 3)), rng.standard_normal((m, 3))
-    assert_matches_oracle(McepFrames(a, MCEP_HOP, 3), McepFrames(b, MCEP_HOP, 3))
+    assert_matches_oracle(McepFrames(a), McepFrames(b))
 
 
 _DTW_RSS_SCRIPT = """
@@ -202,12 +200,7 @@ class TestMcepFramesValidation:
         frames = np.zeros((4, 3))
         frames[2, 1] = bad
         with pytest.raises(InputError, match="finite"):
-            McepFrames(frames, MCEP_HOP, 3)
-
-    @pytest.mark.parametrize("hop", [0.0, -MCEP_HOP, float("nan"), float("inf")])
-    def test_nonpositive_or_non_finite_hop_rejected(self, hop):
-        with pytest.raises(InputError, match="hop"):
-            McepFrames(np.zeros((2, 3)), hop, 3)
+            McepFrames(frames)
 
 
 class TestMcd:
@@ -219,8 +212,8 @@ class TestMcd:
         rng = np.random.default_rng(4)
         base = rng.standard_normal((40, 13))
         offset = rng.standard_normal(13) * 0.3
-        a = McepFrames(base, MCEP_HOP, 13)
-        b = McepFrames(base + offset, MCEP_HOP, 13)
+        a = McepFrames(base)
+        b = McepFrames(base + offset)
         expected = (10.0 / math.log(10)) * math.sqrt(2.0 * float(offset @ offset))
         assert mcd_from_frames(a, b, diag(40)) == pytest.approx(expected, abs=1e-6)
 
@@ -235,58 +228,58 @@ class TestMcd:
 
 class TestF0Rmse:
     def test_identity_zero(self):
-        c = F0Contour(np.full(50, 220.0), MCEP_HOP)
+        c = F0Contour(np.full(50, 220.0))
         assert f0_rmse(c, c, diag(50)) == 0.0
 
     def test_octave_shift_is_ln2(self):
-        ref = F0Contour(np.full(50, 220.0), MCEP_HOP)
-        hyp = F0Contour(np.full(50, 440.0), MCEP_HOP)
+        ref = F0Contour(np.full(50, 220.0))
+        hyp = F0Contour(np.full(50, 440.0))
         assert f0_rmse(ref, hyp, diag(50)) == pytest.approx(math.log(2), abs=1e-9)
 
     def test_only_covoiced_frames_counted(self):
-        ref = F0Contour(np.array([220.0, 0.0, 220.0, 220.0]), MCEP_HOP)
-        hyp = F0Contour(np.array([220.0, 330.0, 0.0, 220.0]), MCEP_HOP)
+        ref = F0Contour(np.array([220.0, 0.0, 220.0, 220.0]))
+        hyp = F0Contour(np.array([220.0, 330.0, 0.0, 220.0]))
         assert f0_rmse(ref, hyp, diag(4)) == 0.0
 
     def test_disjoint_voicing_returns_none(self):
-        ref = F0Contour(np.array([220.0, 0.0]), MCEP_HOP)
-        hyp = F0Contour(np.array([0.0, 220.0]), MCEP_HOP)
+        ref = F0Contour(np.array([220.0, 0.0]))
+        hyp = F0Contour(np.array([0.0, 220.0]))
         assert f0_rmse(ref, hyp, diag(2)) is None
 
 
 class TestVuvError:
     def test_identity_zero(self):
-        c = F0Contour(np.array([220.0, 0.0, 220.0]), MCEP_HOP)
+        c = F0Contour(np.array([220.0, 0.0, 220.0]))
         assert vuv_error(c, c, diag(3)) == 0.0
 
     def test_complete_flip_is_one(self):
-        ref = F0Contour(np.array([220.0, 0.0]), MCEP_HOP)
-        hyp = F0Contour(np.array([0.0, 220.0]), MCEP_HOP)
+        ref = F0Contour(np.array([220.0, 0.0]))
+        hyp = F0Contour(np.array([0.0, 220.0]))
         assert vuv_error(ref, hyp, diag(2)) == 1.0
 
     def test_partial_disagreement(self):
-        ref = F0Contour(np.array([220.0, 0.0, 220.0, 220.0]), MCEP_HOP)
-        hyp = F0Contour(np.array([220.0, 0.0, 0.0, 220.0]), MCEP_HOP)
+        ref = F0Contour(np.array([220.0, 0.0, 220.0, 220.0]))
+        hyp = F0Contour(np.array([220.0, 0.0, 0.0, 220.0]))
         assert vuv_error(ref, hyp, diag(4)) == pytest.approx(0.25)
 
 
 class TestSemitoneAccuracy:
     def test_identity_is_one(self):
-        c = F0Contour(np.full(20, 220.0), MCEP_HOP)
+        c = F0Contour(np.full(20, 220.0))
         assert semitone_accuracy(c, c, diag(20)) == 1.0
 
     def test_full_semitone_off_is_zero(self):
-        ref = F0Contour(np.full(20, 220.0), MCEP_HOP)
-        hyp = F0Contour(np.full(20, 220.0 * 2 ** (1 / 12)), MCEP_HOP)
+        ref = F0Contour(np.full(20, 220.0))
+        hyp = F0Contour(np.full(20, 220.0 * 2 ** (1 / 12)))
         assert semitone_accuracy(ref, hyp, diag(20)) == 0.0
 
     def test_forty_cents_rounds_to_same_note(self):
-        ref = F0Contour(np.full(20, 220.0), MCEP_HOP)
-        hyp = F0Contour(np.full(20, 220.0 * 2 ** (0.4 / 12)), MCEP_HOP)
+        ref = F0Contour(np.full(20, 220.0))
+        hyp = F0Contour(np.full(20, 220.0 * 2 ** (0.4 / 12)))
         assert semitone_accuracy(ref, hyp, diag(20)) == 1.0
 
     def test_no_covoiced_returns_none(self):
-        ref = F0Contour(np.zeros(5), MCEP_HOP)
+        ref = F0Contour(np.zeros(5))
         assert semitone_accuracy(ref, ref, diag(5)) is None
 
 
