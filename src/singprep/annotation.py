@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
-from .jsonio import dumps_document, list_entries, read_json, read_text
+from .jsonio import dumps_document, list_entries, loads, read_json, read_text
 from .score import PhonemeEvent
 
 VOICE_PARTS = ("Bass", "Baritone", "Tenor", "Alto", "Soprano")
@@ -28,9 +28,8 @@ VOICE_PART_ALIASES = {
     "B2": "Baritone",
 }
 
-_FIELDS = ("utt_id", "audio", "singer", "voice_part",
-           "phs", "is_slur", "ph_dur", "notes", "notes_dur", "lang", "style")
 _ARRAYS = ("phs", "is_slur", "ph_dur", "notes", "notes_dur", "lang", "style")
+_FIELDS = ("utt_id", "audio", "singer", "voice_part", *_ARRAYS)
 
 
 def normalize_voice_part(part: str | None) -> str | None:
@@ -170,14 +169,14 @@ def read_manifest(path) -> list[AnnotationRecord]:
     if not text.strip():
         return []
     try:
-        doc = json.loads(text)
+        doc = loads(text, path)
     except json.JSONDecodeError:
         doc = []
         for lineno, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
             try:
-                doc.append(json.loads(line))
+                doc.append(loads(line, path))
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}: line {lineno} is not valid JSON: {exc}") from None
     else:

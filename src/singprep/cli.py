@@ -332,7 +332,7 @@ def cmd_pseudo(args, cfg: PipelineConfig) -> int:
     ).values()
     for entry in entries:
         utt_id = entry["utt_id"]
-        if Path(utt_id).name != utt_id or utt_id in (".", ".."):
+        if Path(utt_id).name != utt_id or utt_id in (".", "..") or "\0" in utt_id:
             raise InputError(f"{args.manifest}: utt_id {utt_id!r} is not a plain file name")
     bank = load_melody_bank(cfg.melody_bank)
     out_dir = Path(args.output_dir)

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .errors import InputError, ParseError
+from .jsonio import open_input
 
 STRATEGIES = ("average", "proportional")
 # Value types accepted per field annotation; a YAML boolean is never a number.
@@ -47,7 +48,7 @@ def load_config_file(path) -> dict:
     """Raw settings mapping from a YAML file, keys checked against the schema."""
     import yaml  # only a run with --config pays for loading it
 
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, encoding="utf-8") as fh:
         try:
             doc = yaml.safe_load(fh)
         except yaml.YAMLError as exc:

@@ -11,6 +11,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import InputError
+from ..jsonio import open_input
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ def read_wav(path) -> Waveform:
     """Read a RIFF/WAVE file holding 16-bit PCM; multichannel input is
     downmixed to the mean of its channels."""
     try:
-        with wave.open(str(path), "rb") as fh:
+        with open_input(str(path), "rb") as raw, wave.open(raw, "rb") as fh:
             nch = fh.getnchannels()
             width = fh.getsampwidth()
             comp = fh.getcomptype()

@@ -1,6 +1,6 @@
-"""JSON in and out: the one UTF-8 text reader, the one JSON file reader, the
-one list-document check, and the one indented writer for every document the
-toolkit emits.
+"""JSON in and out: the one opener of input paths, the one UTF-8 text reader,
+the one JSON parser and JSON file reader, the one list-document check, and
+the one indented writer for every document the toolkit emits.
 
 It imports only the error types, so every module can use it at top level.
 """
@@ -8,28 +8,47 @@ It imports only the error types, so every module can use it at top level.
 from __future__ import annotations
 
 import json
+import re
 
 from .errors import InputError, ParseError
+
+
+def open_input(path, mode: str = "r", encoding: str | None = None):
+    """open(path, mode, encoding=encoding) for reading; InputError naming path
+    if it cannot name a file."""
+    try:
+        return open(path, mode, encoding=encoding)
+    except ValueError as exc:  # a NUL byte or an unencodable character in the name
+        raise InputError(f"{path!r}: not a file name: {exc}") from None
 
 
 def read_text(path) -> str:
     """The text of the UTF-8 file at path; ParseError naming it if it is not UTF-8,
     InputError if path cannot name a file."""
-    try:
-        fh = open(path, encoding="utf-8")
-    except ValueError as exc:  # a NUL byte or an unencodable character in the name
-        raise InputError(f"{path!r}: not a file name: {exc}") from None
-    with fh:
+    with open_input(path, encoding="utf-8") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: {exc}") from None
 
 
+def loads(text: str, path):
+    """json.loads(text); ParseError naming path if a string in it holds a lone
+    surrogate, which no UTF-8 output can hold. In text read as strict UTF-8
+    only a \\u escape can spell one."""
+    doc = json.loads(text)
+    if re.search(r"\\u[dD][89a-fA-F]", text):
+        try:
+            json.dumps(doc, ensure_ascii=False).encode()
+        except UnicodeEncodeError:
+            raise ParseError(f"{path}: invalid JSON: a string holds a lone surrogate") from None
+    return doc
+
+
 def read_json(path):
     """The document in the UTF-8 JSON file at path; ParseError if it is not JSON."""
     try:
-        return json.loads(read_text(path))
+        return loads(read_text(path), path)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
 

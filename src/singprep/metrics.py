@@ -18,7 +18,7 @@ from .dsp.audio import Waveform, resample
 from .dsp.pitch import (F0Contour, centered_frames, extract_f0, frame_count, nearest_midi,
                         periodic_hann)
 from .errors import InputError
-from .jsonio import dumps_document
+from .jsonio import dumps_document, open_input
 from .lexicon import split_words
 
 MCEP_ORDER = 13
@@ -257,13 +257,13 @@ def read_embedding(path) -> np.ndarray:
         except (OSError, ValueError) as exc:
             raise InputError(f"{path}: not a readable .npy file: {exc}") from exc
         return np.asarray(arr, dtype=float).reshape(-1)
-    try:
-        with open(path, encoding="utf-8") as fh:
+    with open_input(path, encoding="utf-8") as fh:
+        try:
             values = [float(line) for line in fh if line.strip()]
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not a text embedding file: {exc}") from exc
-    except ValueError as exc:
-        raise InputError(f"{path}: bad embedding value: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not a text embedding file: {exc}") from exc
+        except ValueError as exc:
+            raise InputError(f"{path}: bad embedding value: {exc}") from exc
     if not values:
         raise InputError(f"{path}: empty embedding file")
     return np.asarray(values)
@@ -360,23 +360,11 @@ class EvalReport:
 
     def table(self) -> str:
         """Aligned plain-text table, one row per utterance plus the mean."""
-        headers = ["utt_id", *METRIC_NAMES]
-        rows = []
-        for utt_id in sorted(self.per_utterance):
-            row = self.per_utterance[utt_id]
-            rows.append(
-                [utt_id]
-                + ["-" if row[n] is None else f"{row[n]:.4f}" for n in METRIC_NAMES]
-            )
-        agg = self.aggregate()
-        rows.append(
-            ["mean"] + ["-" if agg[n] is None else f"{agg[n]:.4f}" for n in METRIC_NAMES]
-        )
-        widths = [max(len(r[k]) for r in [headers] + rows) for k in range(len(headers))]
-        lines = [
-            "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(),
-            "  ".join("-" * w for w in widths),
-        ]
-        for r in rows:
-            lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-        return "\n".join(lines) + "\n"
+        cells = lambda row: ["-" if row[n] is None else f"{row[n]:.4f}" for n in METRIC_NAMES]
+        rows = [["utt_id", *METRIC_NAMES]]
+        rows += [[u, *cells(self.per_utterance[u])] for u in sorted(self.per_utterance)]
+        rows.append(["mean", *cells(self.aggregate())])
+        widths = [max(len(r[k]) for r in rows) for k in range(len(rows[0]))]
+        rows.insert(1, ["-" * w for w in widths])
+        return "".join("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n"
+                       for r in rows)

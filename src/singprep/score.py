@@ -85,17 +85,12 @@ class PhonemeEvent:
 
 @dataclass(frozen=True)
 class TransformedScore:
-    """Phoneme-level parallel sequences; all four are equally long."""
+    """Phoneme-level parallel sequences; transform_score makes all four equally long."""
 
     phonemes: tuple[str, ...]
     language_tokens: tuple[int, ...]
     note_pitches: tuple[int, ...]
     note_durs: tuple[float, ...]
-
-    def __post_init__(self):
-        n = len(self.phonemes)
-        if not (len(self.language_tokens) == len(self.note_pitches) == len(self.note_durs) == n):
-            raise InputError("the four sequences must have equal length")
 
     def __len__(self) -> int:
         return len(self.phonemes)

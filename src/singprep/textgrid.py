@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .errors import ParseError
+from .jsonio import open_input
 
 log = logging.getLogger(__name__)
 
@@ -197,7 +198,8 @@ def read_textgrid(path) -> list[AlignmentTier]:
     """Read a TextGrid file, detecting UTF-8/UTF-16 byte-order marks.
 
     A ParseError names the file."""
-    raw = Path(path).read_bytes()
+    with open_input(path, "rb") as fh:
+        raw = fh.read()
     if raw.startswith(b"\xff\xfe") or raw.startswith(b"\xfe\xff"):
         encoding = "utf-16"
     elif raw.startswith(b"\xef\xbb\xbf"):

@@ -7,7 +7,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from helpers import speech_clip, write_clip_files  # noqa: E402
 
-from singprep import default_lexicon, load_melody_bank  # noqa: E402
+from singprep.lexicon import default_lexicon  # noqa: E402
+from singprep.melody import load_melody_bank  # noqa: E402
 
 
 @pytest.fixture(scope="session")

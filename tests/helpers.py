@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.signal import lfilter
 
-from singprep.dsp import Waveform, write_wav
+from singprep.dsp.audio import Waveform, write_wav
 from singprep.textgrid import AlignmentTier, Interval, write_textgrid
 
 SR = 24000

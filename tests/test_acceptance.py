@@ -13,26 +13,15 @@ from decimal import ROUND_HALF_UP, Decimal
 import numpy as np
 import pytest
 
-from singprep import (
-    McepFrames,
-    PhonemeEvent,
-    RatioTable,
-    adapt_average,
-    adapt_proportional,
-    default_lexicon,
-    evaluate_pair,
-    f0_rmse,
-    g2p,
-    load_melody_bank,
-    make_pseudo_singing,
-    mcd_from_frames,
-    plan_conversion,
-    render_melody,
-    segment_lyrics,
-    wer,
-)
 from singprep.cli import main
-from singprep.dsp import analyze, extract_f0, midi_from_hz, synthesize, transpose_f0
+from singprep.dsp.pitch import extract_f0, midi_from_hz, transpose_f0
+from singprep.dsp.vocoder import analyze, synthesize
+from singprep.lexicon import default_lexicon, g2p, segment_lyrics
+from singprep.melody import load_melody_bank
+from singprep.metrics import McepFrames, evaluate_pair, f0_rmse, mcd_from_frames, wer
+from singprep.pseudo import make_pseudo_singing, render_melody
+from singprep.score import PhonemeEvent, RatioTable, adapt_average, adapt_proportional
+from singprep.svc import plan_conversion
 
 from helpers import SR, sine, speech_clip, write_clip_files
 from oracles import wer_oracle
@@ -239,7 +228,7 @@ def test_09_metric_correctness(capsys, clip):
         expected = (10.0 / math.log(10)) * math.sqrt(2.0 * float(offset @ offset))
         assert abs(got - expected) <= 1e-6
 
-        from singprep.dsp import F0Contour
+        from singprep.dsp.pitch import F0Contour
         ref_c = F0Contour(np.full(80, 220.0))
         hyp_c = F0Contour(np.full(80, 440.0))
         assert abs(f0_rmse(ref_c, hyp_c, [(i, i) for i in range(80)])

@@ -5,20 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 from importlib import resources
 
-from singprep import (
-    AnnotationRecord,
-    ParseError,
-    PhonemeEvent,
-    ValidationError,
-    dumps_annotation,
-    read_annotation,
-    read_manifest,
-    validate_document,
-    write_annotation,
-    write_manifest,
-)
-from singprep.annotation import _ARRAYS, VOICE_PARTS, normalize_voice_part
+from singprep.annotation import (_ARRAYS, VOICE_PARTS, AnnotationRecord, dumps_annotation,
+                                 normalize_voice_part, read_annotation, read_manifest,
+                                 validate_document, write_annotation, write_manifest)
+from singprep.errors import ParseError, ValidationError
 from singprep.jsonio import dumps_document
+from singprep.score import PhonemeEvent
 
 
 def sample_record(utt="utt1"):

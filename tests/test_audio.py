@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from singprep import InputError
-from singprep.dsp import Waveform, read_wav, resample, write_wav
+from singprep.dsp.audio import Waveform, read_wav, resample, write_wav
+from singprep.errors import InputError
 
 from helpers import sine
 

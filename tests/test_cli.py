@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import os
@@ -9,13 +10,14 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from singprep import AnnotationRecord, PhonemeEvent, load_melody_bank, write_manifest
+from singprep.annotation import AnnotationRecord, write_manifest
 from singprep import cli
 from singprep.cli import build_parser, derive_seed, main
 from singprep.config import PipelineConfig
-from singprep.dsp import write_wav
+from singprep.dsp.audio import write_wav
 from singprep.errors import InputError
-from singprep.score import RatioTable
+from singprep.melody import load_melody_bank
+from singprep.score import PhonemeEvent, RatioTable
 from singprep.textgrid import AlignmentTier, Interval, serialize_textgrid, write_textgrid
 
 from helpers import sine, write_clip_files
@@ -517,20 +519,36 @@ class TestPseudo:
         assert not (out_dir / "clip.json").exists()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_non_string_textgrid_fails_only_its_utterance(self, speech_manifest, workers):
+    def test_non_string_textgrid_fails_only_its_utterance(self, speech_manifest, workers,
+                                                          caplog):
         manifest, tmp_path = speech_manifest
         doc = json.loads(Path(manifest).read_text())
-        doc["utterances"].append({"utt_id": "bad", "audio": "clip.wav", "textgrid": 5})
+        good = doc["utterances"][0]
+        doc["utterances"] += [
+            {"utt_id": "bad", "audio": "clip.wav", "textgrid": 5},
+            # a path with a NUL byte names no file: an input error of its utterance
+            dict(good, utt_id="nul_audio", audio="a\0b.wav"),
+            dict(good, utt_id="nul_textgrid", textgrid="t\0g.TextGrid"),
+        ]
         write_json(Path(manifest), doc)
         out_dir = tmp_path / "out"
         assert main(["pseudo", "--manifest", manifest, "--workers", workers,
                      "--output-dir", str(out_dir)]) == 2
+        assert not any(r.exc_info for r in caplog.records), caplog.text
         summary = json.loads((out_dir / "summary.json").read_text())["utterances"]
         assert summary["bad"] == {"error": f"InputError: {manifest}: utterance 'bad': "
                                            "textgrid: must be a string, got 5",
                                   "status": "error"}
+        assert summary["nul_audio"] == {
+            "error": "InputError: 'a\\x00b.wav': not a file name: embedded null byte",
+            "status": "error"}
+        assert summary["nul_textgrid"] == {
+            "error": "InputError: 't\\x00g.TextGrid': not a file name: embedded null byte",
+            "status": "error"}
         assert summary["clip"]["status"] == summary["clip2"]["status"] == "ok"
         assert (out_dir / "clip.wav").exists() and (out_dir / "clip2.wav").exists()
+        assert not (out_dir / "nul_audio.wav").exists()
+        assert not (out_dir / "nul_textgrid.wav").exists()
 
     def test_internal_error_exits_1(self, speech_manifest, monkeypatch, caplog):
         from singprep import pseudo
@@ -755,21 +773,32 @@ class TestEval:
             assert report["failures"]["a"].startswith(f"InputError: {bad}: not a readable WAV")
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_non_string_field_fails_only_its_pair(self, eval_pair_files, workers):
+    def test_non_string_field_fails_only_its_pair(self, eval_pair_files, workers, caplog):
         ref, hyp, tmp_path = eval_pair_files
         for path in (ref, hyp):
             doc = json.loads(Path(path).read_text())
-            doc["utterances"].append(dict(doc["utterances"][0], utt_id="bad"))
+            good = doc["utterances"][0]
+            doc["utterances"].append(dict(good, utt_id="bad"))
             if path == hyp:
                 doc["utterances"][1]["text"] = 5
+            # a path with a NUL byte names no file: an input error of its pair
+            doc["utterances"].append(
+                dict(good, utt_id="nul_audio", audio="a\0b.wav") if path == ref else
+                dict(good, utt_id="nul_audio"))
+            doc["utterances"].append(
+                dict(good, utt_id="nul_embedding", embedding="e\0.txt") if path == hyp else
+                dict(good, utt_id="nul_embedding"))
             write_json(Path(path), doc)
         out = tmp_path / "report.json"
         assert main(["eval", "--ref", ref, "--hyp", hyp, "--workers", workers,
                      "--output", str(out)]) == 2
+        assert not any(r.exc_info for r in caplog.records), caplog.text
         report = json.loads(out.read_text())
         assert list(report["per_utterance"]) == ["clip"]
         assert report["failures"] == {
-            "bad": f"InputError: {hyp}: utterance 'bad': text: must be a string, got 5"}
+            "bad": f"InputError: {hyp}: utterance 'bad': text: must be a string, got 5",
+            "nul_audio": "InputError: 'a\\x00b.wav': not a file name: embedded null byte",
+            "nul_embedding": "InputError: 'e\\x00.txt': not a file name: embedded null byte"}
 
     def test_unscorable_pair_is_a_failure(self, eval_pair_files):
         # Embeddings of different shapes are read fine but cannot be scored.
@@ -916,6 +945,115 @@ def test_config_fuzz_exits_0_or_2(tmp_path_factory, caplog, capsys, items):
         assert code == 2
 
 
+# Valid documents for the text commands; the fuzz below mutates them.
+_INF = "\x01inf"  # written into the JSON text as the literal 1e309
+_FUZZ_DOCS = {
+    "transcode": {"s.json": {"events": [
+        {"lyric": "wo", "lang": "cn", "note": 60, "dur": 0.5},
+        {"lyric": "cat", "note": 64, "dur": 0.4},
+        {"note": 65, "dur": 0.2, "slur": True}]}},
+    "adapt": {
+        "m.json": {"records": [{
+            "utt_id": "u", "audio": "u.wav", "singer": "s01", "voice_part": "Tenor",
+            "phs": ["c", "uen", "uen"], "is_slur": [0, 0, 1], "ph_dur": [0.18, 0.245, 0.295],
+            "notes": [60, 60, 62], "notes_dur": [0.425, 0.425, 0.295], "lang": [1, 1, 1],
+            "style": [1, 1, 1]}]},
+        "r.json": {"c": {"phones": ["T", "S"], "weights": [0.2, 0.8]},
+                   "uen": {"phones": ["UW", "AH", "N"], "weights": [0.3, 0.5, 0.2]}}},
+    "plan-svc": {
+        "src.json": {"sources": [{"utt_id": "u1", "audio": "u1.wav", "voice_part": "Bass"}]},
+        "tgt.json": {"targets": [{"singer": "t1", "voice_part": "Tenor"},
+                                 {"singer": "t2", "voice_part": "soprano"}]}},
+}
+_FUZZ_ARGV = {
+    "transcode": [["transcode", "--score", "s.json", "--output", "out.json"]],
+    "adapt": [["adapt", "--input", "m.json", "--strategy", "proportional", "--ratios", "r.json",
+               "--output", "out.json"],
+              ["adapt", "--input", "m.json", "--strategy", "average", "--output", "out.json"]],
+    "plan-svc": [["plan-svc", "--sources", "src.json", "--targets", "tgt.json",
+                  "--output", "out.json"]],
+    "g2p": [["g2p", "--input", "l.txt", "--output", "out.txt"]],
+}
+_BAD_VALUES = st.sampled_from([None, True, False, 0, -1, 128, 1.5, -0.0, float("nan"), _INF,
+                               "", "x", "a\0b", "\ud800", "Bassoon", [], {}, [1], {"a": 1}])
+_BAD_BYTES = st.sampled_from([b"\xe9", b"\xff\xfe", b"\x00", b"\xed\xa0\x80", b"\\", b"\"",
+                              b"]", b"}", b",", b"1e309", b"NaN", b"-Infinity"])
+
+
+def _json_paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _json_paths(value, (*prefix, key))
+
+
+def _mutate(data, doc):
+    """doc with one to three mutations: a wrong-typed or non-finite value, a key or
+    element removed, a value wrapped in the wrong container, or a NUL byte or a
+    lone surrogate added to a string."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(_json_paths(doc))
+        op = data.draw(st.sampled_from(["set", "delete", "wrap", "taint"]))
+        if op == "taint":
+            get = lambda p: functools.reduce(lambda d, k: d[k], p, doc)
+            paths = [p for p in paths if p and isinstance(get(p), str)]
+            if not paths:
+                continue
+        path = data.draw(st.sampled_from(paths))
+        if not path:
+            doc = data.draw(_BAD_VALUES) if op == "set" else [doc] if op == "wrap" else {}
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if op == "delete":
+            del parent[path[-1]]
+        elif op == "taint":
+            parent[path[-1]] += data.draw(st.sampled_from(["\0", "\ud800", "\udce9"]))
+        else:
+            parent[path[-1]] = data.draw(_BAD_VALUES) if op == "set" else [parent[path[-1]]]
+    return doc
+
+
+def _mangle(data, raw: bytes) -> bytes:
+    """raw, or one time in four raw with a byte string inserted or cut short."""
+    if data.draw(st.integers(0, 3)):
+        return raw
+    at = data.draw(st.integers(0, len(raw)))
+    return raw[:at] if data.draw(st.booleans()) else raw[:at] + data.draw(_BAD_BYTES) + raw[at:]
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZ_ARGV))
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_text_command_fuzz_exits_0_or_2(tmp_path_factory, caplog, capsys, monkeypatch,
+                                        command, data):
+    base = tmp_path_factory.getbasetemp() / "fuzz"
+    base.mkdir(exist_ok=True)
+    monkeypatch.chdir(base)
+    if command == "g2p":
+        files = {"l.txt": data.draw(st.one_of(
+            st.binary(max_size=16),
+            st.sampled_from(["我和你 from one world\n", "zhui cat", ""]).map(str.encode)))}
+        files["l.txt"] = _mangle(data, files["l.txt"])
+    else:  # one document is mutated, so that its fault is not masked by another's
+        files = {name: json.dumps(doc).encode() for name, doc in _FUZZ_DOCS[command].items()}
+        name = data.draw(st.sampled_from(sorted(files)))
+        text = json.dumps(_mutate(data, json.loads(files[name])))
+        files[name] = _mangle(data, text.replace(json.dumps(_INF), "1e309").encode())
+    for name, raw in files.items():
+        (base / name).write_bytes(raw)
+    argv = data.draw(st.sampled_from(_FUZZ_ARGV[command]))
+    if data.draw(st.integers(0, 9)) == 0:  # an input path that names no file
+        argv = [a + "\0" if a in files else a for a in argv]
+    caplog.clear()
+    code = main(argv)
+    capsys.readouterr()
+    assert code in (0, 2), caplog.text
+    assert not any(r.exc_info for r in caplog.records), caplog.text
+
+
 # -- exit code 2 for malformed input -------------------------------------------
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -1060,6 +1198,13 @@ def test_malformed_input_exits_2(tmp_path, files, argv):
                  _PLAN, "src.json: entry 0", id="plan-svc-unknown-voice-part"),
     pytest.param({"r.json": '{"c": {"phones": ["T", "S"], "weights": [0.0, 1.0]}}'}, _RATIOS,
                  "r.json: ratio table unit 'c'", id="ratios-zero-weight"),
+    pytest.param({"m.json": _record_doc().replace('"u"', '"u\\ud800"', 1)}, _ADAPT_M,
+                 "m.json: invalid JSON", id="adapt-utt-id-lone-surrogate"),
+    pytest.param({"src.json": _SOURCES, "tgt.json": _TARGETS.replace('"t1"', '"\\udce9"')},
+                 _PLAN, "tgt.json: invalid JSON", id="plan-svc-singer-lone-surrogate"),
+    pytest.param({"m.json": _PSEUDO_MANIFEST.replace('"clip"', '"a\\u0000b"')},
+                 ["pseudo", "--manifest", "m.json", "--output-dir", "out"],
+                 "m.json", id="pseudo-utt-id-nul"),
 ])
 def test_input_error_names_its_file(tmp_path, files, argv, name):
     stderr = _run_main(tmp_path, files, argv)

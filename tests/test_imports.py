@@ -1,10 +1,11 @@
 """Each subcommand imports only what it runs.
 
 The text subcommands (g2p, transcode, adapt, plan-svc) start without numpy,
-and no command loads scipy, which is only a test dependency. PyYAML is loaded
-only to read a --config file, and the process pool only when one starts.
-Each check runs in a fresh interpreter, since this test process has long
-since imported everything.
+eval starts without the vocoder, and no command loads scipy, which is only a
+test dependency. PyYAML is loaded only to read a --config file, and the
+process pool only when one starts. Each module imports on its own, since the
+package imports none of them. Each check runs in a fresh interpreter, since
+this test process has long since imported everything.
 """
 
 import json
@@ -13,7 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from singprep.dsp import resample, write_wav
+from singprep.dsp.audio import resample, write_wav
 from singprep.textgrid import AlignmentTier, Interval, write_textgrid
 
 from helpers import speech_clip, write_clip_files
@@ -43,6 +44,20 @@ def run_commands(argvs: list[list[str]]) -> str:
     return ("from singprep.cli import main\n"
             f"codes = [main(argv) for argv in {argvs!r}]\n"
             "assert codes == [0] * len(codes), codes")
+
+
+def test_each_module_imports_alone(tmp_path):
+    # singprep's modules are dropped from sys.modules before each import, so
+    # each is imported with no other module of the package loaded before it.
+    modules = sorted(".".join(p.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__")
+                     for p in (SRC / "singprep").rglob("*.py"))
+    code = ("import importlib, sys\n"
+            f"for name in {modules!r}:\n"
+            "    for loaded in [m for m in sys.modules if m.split('.')[0] == 'singprep']:\n"
+            "        del sys.modules[loaded]\n"
+            "    importlib.import_module(name)\n")
+    assert "singprep.dsp.vocoder" in modules and "singprep.cli" in modules
+    loaded_modules(code, tmp_path)  # fails unless the child exits 0
 
 
 def test_cli_import_loads_nothing_on_use_only(tmp_path):
@@ -100,6 +115,16 @@ def test_dsp_modules_load_numpy_and_no_scipy(tmp_path):
     assert not [m for m in loaded if m.startswith("scipy")]
 
 
+def test_eval_loads_neither_vocoder_nor_pseudo(tmp_path):
+    wav, _ = write_clip_files(tmp_path, utt_id="clip")
+    pairs = write_json(tmp_path / "pairs.json", {"utterances": [
+        {"utt_id": "clip", "audio": str(wav), "text": "song fan"}]})
+    argvs = [["eval", "--ref", pairs, "--hyp", pairs, "--output", "report.json"]]
+    loaded = loaded_modules(run_commands(argvs), tmp_path,
+                            ("singprep.metrics", "singprep.dsp.vocoder", "singprep.pseudo"))
+    assert loaded == ["singprep.metrics"]
+
+
 # A meta-path finder that refuses scipy, as in an environment without it.
 _BLOCK_SCIPY = """import sys
 class _NoScipy:
@@ -131,15 +156,3 @@ def test_eval_and_pseudo_run_without_scipy(tmp_path):
     for name in ("clip.wav", "clip.json", "summary.json"):
         assert (tmp_path / "out" / name).stat().st_size > 0
 
-
-def test_export_tables_resolve():
-    """Every exported name resolves, lazy names are exported, and none repeats:
-    deleting a function but keeping its export fails here."""
-    import singprep
-    import singprep.dsp
-
-    for module in (singprep, singprep.dsp):
-        assert len(set(module.__all__)) == len(module.__all__), module.__name__
-        for name in module.__all__:
-            assert hasattr(module, name), f"{module.__name__}.{name}"
-    assert set(singprep._LAZY) <= set(singprep.__all__)

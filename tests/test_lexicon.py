@@ -5,20 +5,10 @@ import unicodedata
 import pytest
 from hypothesis import given, strategies as st
 
-from singprep import (
-    CMU_PHONES,
-    ENGLISH,
-    MANDARIN,
-    LyricToken,
-    OovError,
-    ParseError,
-    default_lexicon,
-    g2p,
-    segment_lyrics,
-    split_pinyin,
-)
-from singprep.lexicon import (CMU_VOWELS, DEFAULT_INITIALS, Lexicon, language_of, split_words,
-                              token_phones)
+from singprep.errors import OovError, ParseError
+from singprep.lexicon import (CMU_PHONES, CMU_VOWELS, DEFAULT_INITIALS, ENGLISH, MANDARIN, Lexicon,
+                              LyricToken, default_lexicon, g2p, language_of, segment_lyrics,
+                              split_pinyin, split_words, token_phones)
 from singprep.metrics import tokenize_transcript
 
 PINYIN_GOLDENS = {

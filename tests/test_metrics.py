@@ -9,23 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from singprep import (
-    InputError,
-    EvalReport,
-    cosine_sim,
-    dtw_align,
-    evaluate_pair,
-    f0_rmse,
-    mcd_from_frames,
-    mcep,
-    semitone_accuracy,
-    tokenize_transcript,
-    vuv_error,
-    wer,
-)
-from singprep.metrics import (_DCT_BASIS, _N_MELS, MCEP_ORDER, MCEP_RATE,
-                              McepFrames, read_embedding)
-from singprep.dsp import F0Contour, Waveform, resample
+from singprep.dsp.audio import Waveform, resample
+from singprep.dsp.pitch import F0Contour
+from singprep.errors import InputError
+from singprep.metrics import (_DCT_BASIS, _N_MELS, MCEP_ORDER, MCEP_RATE, EvalReport, McepFrames,
+                              cosine_sim, dtw_align, evaluate_pair, f0_rmse, mcd_from_frames, mcep,
+                              read_embedding, semitone_accuracy, tokenize_transcript, vuv_error,
+                              wer)
 
 from helpers import SR, sine, speech_clip, voiced_segment
 from oracles import dtw_align_oracle, dtw_oracle_cost, wer_oracle

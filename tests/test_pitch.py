@@ -1,18 +1,10 @@
 import numpy as np
 import pytest
 
-from singprep import InputError
-from singprep.dsp.pitch import next_fast_len, periodic_hann
-from singprep.dsp import (
-    F0Contour,
-    Waveform,
-    extract_f0,
-    frame_count,
-    hz_from_midi,
-    midi_from_hz,
-    nearest_midi,
-    transpose_f0,
-)
+from singprep.dsp.audio import Waveform
+from singprep.dsp.pitch import (F0Contour, extract_f0, frame_count, hz_from_midi, midi_from_hz,
+                                nearest_midi, next_fast_len, periodic_hann, transpose_f0)
+from singprep.errors import InputError
 
 from helpers import SR, sine, voiced_segment
 

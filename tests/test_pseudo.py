@@ -3,17 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from singprep import (
-    InputError,
-    ValidationError,
-    MelodyBank,
-    MelodyTemplate,
-    choose_melody,
-    load_melody_bank,
-    make_pseudo_singing,
-    render_melody,
-)
-from singprep.dsp import Waveform, extract_f0, hz_from_midi
+from singprep.dsp.audio import Waveform
+from singprep.dsp.pitch import extract_f0, hz_from_midi
+from singprep.errors import InputError, ValidationError
+from singprep.melody import MelodyBank, MelodyTemplate, choose_melody, load_melody_bank
+from singprep.pseudo import make_pseudo_singing, render_melody
 from singprep.score import PSEUDO_SINGING
 from singprep.textgrid import AlignmentTier, Interval
 

@@ -4,22 +4,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from singprep import (
-    AnnotationRecord,
-    MANDARIN,
-    ENGLISH,
-    LyricToken,
-    ParseError,
-    PhonemeEvent,
-    RatioTable,
-    ScoreEvent,
-    adapt_average,
-    adapt_proportional,
-    default_lexicon,
-    extract_ratios,
-    transform_score,
-    validate_document,
-)
+from singprep.annotation import AnnotationRecord, validate_document
+from singprep.errors import ParseError
+from singprep.lexicon import ENGLISH, MANDARIN, LyricToken, default_lexicon
+from singprep.score import (PhonemeEvent, RatioTable, ScoreEvent, adapt_average,
+                            adapt_proportional, extract_ratios, transform_score)
 from singprep.textgrid import AlignmentTier, Interval
 
 

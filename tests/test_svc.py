@@ -2,14 +2,9 @@ import json
 
 import pytest
 
-from singprep import (
-    ConversionJob,
-    ValidationError,
-    build_job_manifest,
-    plan_conversion,
-)
 from singprep.annotation import VOICE_PARTS
-from singprep.svc import dumps_job_manifest
+from singprep.errors import ValidationError
+from singprep.svc import ConversionJob, build_job_manifest, dumps_job_manifest, plan_conversion
 
 # From: Bass, Baritone, Tenor, Alto, Soprano; To: the same order.
 EXPECTED_MATRIX = {

@@ -4,8 +4,9 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from singprep import ParseError, parse_textgrid, read_textgrid, serialize_textgrid
-from singprep.textgrid import AlignmentTier, Interval, _scan, write_textgrid
+from singprep.errors import ParseError
+from singprep.textgrid import (AlignmentTier, Interval, _scan, parse_textgrid, read_textgrid,
+                               serialize_textgrid, write_textgrid)
 
 from oracles import textgrid_scan_oracle
 

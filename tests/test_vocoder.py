@@ -9,21 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.signal import find_peaks, lfilter
 
-from singprep import InputError
-from singprep.dsp import (
-    AnalysisResult,
-    F0Contour,
-    Waveform,
-    analyze,
-    band_edges,
-    extract_f0,
-    midi_from_hz,
-    synthesize,
-    vocoder,
-    write_wav,
-)
-from singprep.dsp.pitch import _BLOCK, DEFAULT_HOP
-from singprep.dsp.vocoder import DEFAULT_BANDS, DEFAULT_FFT
+from singprep.dsp.audio import Waveform, write_wav
+from singprep.dsp.pitch import _BLOCK, DEFAULT_HOP, F0Contour, extract_f0, midi_from_hz
+from singprep.dsp import vocoder
+from singprep.dsp.vocoder import (DEFAULT_BANDS, DEFAULT_FFT, AnalysisResult, analyze, band_edges,
+                                  synthesize)
+from singprep.errors import InputError
 
 from helpers import SR, pulse_train, sine, speech_clip, voiced_segment
 from oracles import analyze_oracle, extract_f0_oracle, synthesize_oracle
@@ -264,7 +255,8 @@ class TestFrozenOracles:
 _RSS_SCRIPT = """
 import sys
 import numpy as np
-from singprep.dsp import analyze, read_wav, synthesize
+from singprep.dsp.audio import read_wav
+from singprep.dsp.vocoder import analyze, synthesize
 synthesize(analyze(read_wav(sys.argv[1])), rng=np.random.default_rng(0))
 print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
 """
