@@ -5,9 +5,12 @@ stderr; data goes to stdout or to files. Exit codes: 0 success, 1 internal
 error, 2 input or validation error (including an unreadable, non-UTF-8 or
 directory path).
 
-The numpy modules (dsp, metrics, pseudo) are imported inside the
-pseudo and eval functions, so the text subcommands start without them; the
-process pool and hashlib are likewise imported only where they are used.
+Each command imports the modules it runs inside its own function:
+annotation, score, textgrid and svc in the text commands that use them, and
+the numpy modules (dsp, metrics, pseudo) in pseudo and eval. So the text
+subcommands start without numpy, and eval without the annotation, score,
+TextGrid and planning code; the process pool and hashlib are likewise
+imported only where they are used.
 """
 
 from __future__ import annotations
@@ -17,26 +20,19 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .annotation import (AnnotationRecord, dumps_manifest, normalize_voice_part, read_manifest,
-                          write_annotation, write_manifest)
 from .config import STRATEGIES, PipelineConfig, resolve_config
 from .errors import InputError, ParseError, ValidationError
 from .jsonio import dumps_document, list_entries, read_json, read_text
 from .lexicon import (ENGLISH, MANDARIN, Lexicon, LyricToken, default_lexicon, g2p,
                       language_of, segment_lyrics)
 from .melody import choose_melody, load_melody_bank
-from .score import (
-    RatioTable,
-    ScoreEvent,
-    adapt_average,
-    adapt_proportional,
-    extract_ratios,
-    transform_score,
-)
-from .svc import build_job_manifest, dumps_job_manifest
-from .textgrid import read_textgrid
+
+if TYPE_CHECKING:  # names for annotations; the commands import what they run
+    from .annotation import AnnotationRecord
+    from .score import RatioTable, ScoreEvent
 
 log = logging.getLogger("singprep")
 
@@ -174,6 +170,8 @@ def cmd_g2p(args, cfg: PipelineConfig) -> int:
 # -- transcode ----------------------------------------------------------------
 
 def _score_events(path) -> list[ScoreEvent]:
+    from .score import ScoreEvent
+
     entries = _read_entries(path, "events", ("note", "dur"))
     events = []
     for i, entry in enumerate(entries):
@@ -203,6 +201,8 @@ def _score_events(path) -> list[ScoreEvent]:
 
 
 def cmd_transcode(args, cfg: PipelineConfig) -> int:
+    from .score import transform_score
+
     lexicon = default_lexicon(cfg.cmu_dict, cfg.pinyin_map, cfg.hanzi_table)
     events = _score_events(args.score)
     try:
@@ -229,6 +229,9 @@ def _expected_units(record: AnnotationRecord, lexicon: Lexicon):
 
 
 def _corpus_ratios(records, alignment_dir, lexicon: Lexicon) -> RatioTable:
+    from .score import RatioTable, extract_ratios
+    from .textgrid import read_textgrid
+
     tables = []
     for record in records:
         tg_path = Path(alignment_dir) / f"{record.utterance_id}.TextGrid"
@@ -246,6 +249,9 @@ def _corpus_ratios(records, alignment_dir, lexicon: Lexicon) -> RatioTable:
 
 
 def cmd_adapt(args, cfg: PipelineConfig) -> int:
+    from .annotation import AnnotationRecord, dumps_manifest, read_manifest, write_manifest
+    from .score import RatioTable, adapt_average, adapt_proportional
+
     lexicon = default_lexicon(cfg.cmu_dict, cfg.pinyin_map, cfg.hanzi_table)
     records = read_manifest(args.input)
     if not records:
@@ -303,8 +309,10 @@ def _find_tiers(tiers, path):
 
 def _pseudo_worker(payload: tuple) -> str:
     """One utterance rendered and written; returns its melody id."""
+    from .annotation import write_annotation
     from .dsp.audio import read_wav, write_wav
     from .pseudo import make_pseudo_singing
+    from .textgrid import read_textgrid
 
     entry, bank, seed, out_dir, manifest = payload
     utt_id = entry["utt_id"]
@@ -366,6 +374,9 @@ def cmd_pseudo(args, cfg: PipelineConfig) -> int:
 # -- plan-svc -----------------------------------------------------------------
 
 def cmd_plan_svc(args, cfg: PipelineConfig) -> int:
+    from .annotation import normalize_voice_part
+    from .svc import build_job_manifest, dumps_job_manifest
+
     src_entries = _read_entries(args.sources, "sources", ("utt_id", "audio", "voice_part"))
     tgt_entries = _read_entries(args.targets, "targets", ("singer", "voice_part"))
     for path, entries, keys in ((args.sources, src_entries, ("utt_id", "audio")),
@@ -448,6 +459,17 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
 
 # -- parser -------------------------------------------------------------------
 
+def _path(value: str) -> str:
+    """The type of every path option: a path that UTF-8 logs, reports and
+    manifests can hold. A command-line path that is not UTF-8 reaches Python
+    with surrogate escapes, which no UTF-8 writer can encode."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise argparse.ArgumentTypeError(f"not a UTF-8 path: {value!r}") from None
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="singprep",
@@ -455,34 +477,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="FILE", help="YAML config file")
+    common.add_argument("--config", type=_path, metavar="FILE", help="YAML config file")
     common.add_argument("--seed", type=int, help="random seed")
     common.add_argument("--workers", type=int, help="parallel worker count")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = sub.add_parser("g2p", parents=[common], help="lyrics to phoneme and language-token lines")
     p.add_argument("text", nargs="*", help="lyric text (default: stdin)")
-    p.add_argument("--input", metavar="FILE", help="read lyrics from a file")
-    p.add_argument("--output", metavar="FILE", help="write the two lines here instead of stdout")
+    p.add_argument("--input", type=_path, metavar="FILE", help="read lyrics from a file")
+    p.add_argument("--output", type=_path, metavar="FILE",
+                   help="write the two lines here instead of stdout")
     p.set_defaults(func=cmd_g2p)
 
     p = sub.add_parser("transcode", parents=[common], help="score events to phoneme-level sequences")
-    p.add_argument("--score", required=True, metavar="FILE", help="score JSON (events list)")
-    p.add_argument("--output", metavar="FILE")
+    p.add_argument("--score", required=True, type=_path, metavar="FILE",
+                   help="score JSON (events list)")
+    p.add_argument("--output", type=_path, metavar="FILE")
     p.set_defaults(func=cmd_transcode)
 
     p = sub.add_parser("adapt", parents=[common], help="rewrite annotation to phoneme granularity")
-    p.add_argument("--input", required=True, metavar="FILE", help="annotation manifest JSON")
+    p.add_argument("--input", required=True, type=_path, metavar="FILE",
+                   help="annotation manifest JSON")
     p.add_argument("--strategy", choices=STRATEGIES, help="duration split strategy")
-    p.add_argument("--ratios", metavar="FILE", help="saved duration-ratio table")
-    p.add_argument("--alignment-dir", metavar="DIR", help="TextGrid dir for ratio extraction")
-    p.add_argument("--output", metavar="FILE")
+    p.add_argument("--ratios", type=_path, metavar="FILE", help="saved duration-ratio table")
+    p.add_argument("--alignment-dir", type=_path, metavar="DIR",
+                   help="TextGrid dir for ratio extraction")
+    p.add_argument("--output", type=_path, metavar="FILE")
     p.set_defaults(func=cmd_adapt)
 
     p = sub.add_parser("pseudo", parents=[common], help="speech to pseudo-singing audio + annotation")
-    p.add_argument("--manifest", required=True, metavar="FILE", help="speech utterance manifest")
-    p.add_argument("--output-dir", required=True, metavar="DIR")
-    p.add_argument("--melody-bank", metavar="FILE", help="melody bank JSON (default: builtin)")
+    p.add_argument("--manifest", required=True, type=_path, metavar="FILE",
+                   help="speech utterance manifest")
+    p.add_argument("--output-dir", required=True, type=_path, metavar="DIR")
+    p.add_argument("--melody-bank", type=_path, metavar="FILE",
+                   help="melody bank JSON (default: builtin)")
     p.add_argument(
         "--fail-fast", dest="keep_going", action="store_false",
         help="stop at the first failing utterance",
@@ -490,15 +518,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pseudo, keep_going=True)
 
     p = sub.add_parser("plan-svc", parents=[common], help="plan voice-conversion jobs")
-    p.add_argument("--sources", required=True, metavar="FILE")
-    p.add_argument("--targets", required=True, metavar="FILE")
-    p.add_argument("--output", metavar="FILE")
+    p.add_argument("--sources", required=True, type=_path, metavar="FILE")
+    p.add_argument("--targets", required=True, type=_path, metavar="FILE")
+    p.add_argument("--output", type=_path, metavar="FILE")
     p.set_defaults(func=cmd_plan_svc)
 
     p = sub.add_parser("eval", parents=[common], help="objective metrics for ref/hyp pairs")
-    p.add_argument("--ref", required=True, metavar="FILE")
-    p.add_argument("--hyp", required=True, metavar="FILE")
-    p.add_argument("--output", metavar="FILE", help="write the JSON report here")
+    p.add_argument("--ref", required=True, type=_path, metavar="FILE")
+    p.add_argument("--hyp", required=True, type=_path, metavar="FILE")
+    p.add_argument("--output", type=_path, metavar="FILE", help="write the JSON report here")
     p.add_argument("--table", action="store_true", help="print an aligned text table")
     p.set_defaults(func=cmd_eval)
     return parser

@@ -6,8 +6,11 @@ dip under a voicing threshold, refined by parabolic interpolation. Frames
 with no dip under the threshold (or with negligible energy) are unvoiced and
 carry the value 0.0.
 
-The search runs as array code over fixed blocks of _BLOCK frames, so the
-difference-function intermediates take the same memory for any clip length.
+The search runs as array code over fixed blocks of _BLOCK frames in buffers
+allocated once per call, so the difference-function intermediates take the
+same memory for any clip length and stay in cache. The cross-correlation runs
+at next_fast_len(2w) points for a w-sample integration window: the smallest
+size at which the circular correlation does not wrap for lags 0..w.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ DEFAULT_THRESHOLD = 0.35
 
 _SILENCE_POWER = 1e-10  # mean-square floor below which a frame is silent
 _SELECT_THRESHOLD = 0.1  # strict dip level for period-candidate selection
-_BLOCK = 512  # frames analyzed per array pass; bounds the per-call intermediates
+_BLOCK = 128  # frames per array pass (a multiple of 32): the block buffers stay in cache
 
 
 @dataclass(frozen=True)
@@ -113,30 +116,52 @@ def extract_f0(waveform: Waveform, hop: float = DEFAULT_HOP) -> F0Contour:
     hop_samples = max(1, int(round(hop * sr)))
     n = frame_count(x.size, hop_samples)
     all_frames = centered_frames(x, n, hop_samples, 2 * w)
-    nfft = next_fast_len(3 * w)
+    # a circular correlation of at least 2w points does not wrap for lags 0..w
+    nfft = next_fast_len(2 * w)
     taus = np.arange(1, w + 1, dtype=np.float64)
     values = np.zeros(n)
+    # one set of block buffers per call, filled in place block after block
+    rows_max = min(_BLOCK, n)
+    spec_full_buf = np.empty((rows_max, nfft // 2 + 1), dtype=np.complex128)
+    spec_half_buf = np.empty_like(spec_full_buf)
+    cross_buf = np.empty((rows_max, nfft))
+    csq_buf = np.zeros((rows_max, 2 * w + 1))
+    diff_buf = np.empty((rows_max, w + 1))
+    cum_buf = np.empty((rows_max, w))
+    cmndf_buf = np.ones((rows_max, w + 1))
     for b0 in range(0, n, _BLOCK):
         frames = all_frames[b0:b0 + _BLOCK]
-        rows = np.arange(len(frames))
+        k = len(frames)
+        rows = np.arange(k)
 
         # difference function d(tau) = sum_j (x_j - x_{j+tau})^2 for tau in
-        # 0..w, via energies plus an FFT cross-correlation
-        spec_full = rfft(frames, nfft, axis=1)
-        spec_half = rfft(frames[:, :w], nfft, axis=1)
-        cross = irfft(spec_full * np.conj(spec_half), nfft, axis=1)[:, :w + 1]
-        csq = np.concatenate(
-            [np.zeros((len(frames), 1)), np.cumsum(frames * frames, axis=1)], axis=1
-        )
-        e_fixed = csq[:, w] - csq[:, 0]
-        e_slide = csq[:, w:2 * w + 1] - csq[:, 0:w + 1]
-        diff = np.maximum(e_fixed[:, None] + e_slide - 2.0 * cross, 0.0)
+        # 0..w, via energies plus an FFT cross-correlation. Under FMA the
+        # complex product rounds by operand order: the conjugate is the first
+        # factor, and the product overwrites it.
+        spec_full = rfft(frames, nfft, axis=1, out=spec_full_buf[:k])
+        spec_half = rfft(frames[:, :w], nfft, axis=1, out=spec_half_buf[:k])
+        np.conjugate(spec_half, out=spec_half)
+        np.multiply(spec_half, spec_full, out=spec_half)
+        cross = irfft(spec_half, nfft, axis=1, out=cross_buf[:k])[:, :w + 1]
+        csq = csq_buf[:k]  # column 0 stays 0: csq[:, j] is the energy of x_0..x_{j-1}
+        np.multiply(frames, frames, out=csq[:, 1:])
+        np.cumsum(csq[:, 1:], axis=1, out=csq[:, 1:])
+        e_fixed = csq[:, w]
+        # (e_fixed + e_slide) - 2 * cross, in that order of rounding
+        diff = np.subtract(csq[:, w:2 * w + 1], csq[:, 0:w + 1], out=diff_buf[:k])
+        diff += e_fixed[:, None]
+        cross *= 2.0
+        diff -= cross
+        np.maximum(diff, 0.0, out=diff)
 
         # cumulative-mean normalization
-        cum = np.cumsum(diff[:, 1:], axis=1)
-        cmndf = np.ones_like(diff)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cmndf[:, 1:] = np.where(cum > 0, diff[:, 1:] * taus / cum, 1.0)
+        cum = np.cumsum(diff[:, 1:], axis=1, out=cum_buf[:k])
+        cmndf = cmndf_buf[:k]
+        norm = cmndf[:, 1:]
+        np.multiply(diff[:, 1:], taus, out=norm)
+        positive = cum > 0
+        np.divide(norm, cum, out=norm, where=positive)
+        np.copyto(norm, 1.0, where=~positive)
 
         # local minima of the searched lag range; silent frames have none
         seg = cmndf[:, lag_min:lag_max + 1]

@@ -23,7 +23,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ..errors import InputError
 from .audio import Waveform
 from .pitch import (
-    _BLOCK,
     DEFAULT_HOP,
     F0Contour,
     centered_frames,
@@ -35,6 +34,7 @@ from .pitch import (
 DEFAULT_FFT = 1024
 DEFAULT_BANDS = 5
 
+_BLOCK = 512  # frames per array pass; bounds the per-call intermediates
 _ENVELOPE_FLOOR = 1e-20
 _UNVOICED_SMOOTH_HZ = 120.0  # lifter cutoff stand-in where no pitch exists
 

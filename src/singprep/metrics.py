@@ -82,33 +82,50 @@ def _mel_filterbank(sr: int, n_fft: int, n_mels: int) -> np.ndarray:
     return fb
 
 
+_MCEP_WIN = int(round(MCEP_WINDOW * MCEP_RATE))
+_MCEP_HOP_SAMPLES = int(round(MCEP_HOP * MCEP_RATE))
+_MCEP_HANN = periodic_hann(_MCEP_WIN)
+_MEL_BASIS = _mel_filterbank(MCEP_RATE, _MCEP_WIN, _N_MELS)
+_BLOCK = 128  # frames per array pass, as in extract_f0: the block buffers stay in cache
+
+
 def mcep(waveform: Waveform) -> McepFrames:
     """Mel-cepstra at a 50 ms window and 12.5 ms hop.
 
     Per frame: windowed power spectrum, mel filterbank, log, orthonormal
     cosine transform; coefficients 1..MCEP_ORDER are kept so overall gain (c_0)
-    never enters the distortion.
+    never enters the distortion. Frames run in blocks of _BLOCK through
+    buffers allocated once per call.
     """
     if waveform.sample_rate != MCEP_RATE:
         raise InputError(
             f"mcep expects {MCEP_RATE} Hz input, got {waveform.sample_rate} Hz"
         )
-    sr = waveform.sample_rate
-    win_samples = int(round(MCEP_WINDOW * sr))
-    hop_samples = int(round(MCEP_HOP * sr))
-    if len(waveform) < win_samples:
+    if len(waveform) < _MCEP_WIN:
         raise InputError(
-            f"input of {len(waveform)} samples is shorter than one {win_samples}-sample window"
+            f"input of {len(waveform)} samples is shorter than one {_MCEP_WIN}-sample window"
         )
-    n = frame_count(len(waveform), hop_samples)
-    frames = centered_frames(waveform.samples, n, hop_samples, win_samples)
-    win = periodic_hann(win_samples)
-    spec = np.abs(rfft(frames * win, win_samples, axis=1)) ** 2
-    fb = _mel_filterbank(sr, win_samples, _N_MELS)
-    mel = spec @ fb.T
-    floor = np.maximum(mel.max(axis=1, keepdims=True) * _REL_FLOOR, _ABS_FLOOR)
-    logmel = np.log(np.maximum(mel, floor))
-    return McepFrames(logmel @ _DCT_BASIS.T)
+    n = frame_count(len(waveform), _MCEP_HOP_SAMPLES)
+    all_frames = centered_frames(waveform.samples, n, _MCEP_HOP_SAMPLES, _MCEP_WIN)
+    out = np.empty((n, MCEP_ORDER))
+    rows_max = min(_BLOCK, n)
+    windowed_buf = np.empty((rows_max, _MCEP_WIN))
+    spec_buf = np.empty((rows_max, _MCEP_WIN // 2 + 1), dtype=np.complex128)
+    power_buf = np.empty((rows_max, _MCEP_WIN // 2 + 1))
+    mel_buf = np.empty((rows_max, _N_MELS))
+    for b0 in range(0, n, _BLOCK):
+        frames = all_frames[b0:b0 + _BLOCK]
+        k = len(frames)
+        windowed = np.multiply(frames, _MCEP_HANN, out=windowed_buf[:k])
+        spec = rfft(windowed, _MCEP_WIN, axis=1, out=spec_buf[:k])
+        power = np.abs(spec, out=power_buf[:k])
+        np.square(power, out=power)
+        mel = np.matmul(power, _MEL_BASIS.T, out=mel_buf[:k])
+        floor = np.maximum(mel.max(axis=1, keepdims=True) * _REL_FLOOR, _ABS_FLOOR)
+        np.maximum(mel, floor, out=mel)
+        np.log(mel, out=mel)
+        np.matmul(mel, _DCT_BASIS.T, out=out[b0:b0 + k])
+    return McepFrames(out)
 
 
 def dtw_align(a: McepFrames, b: McepFrames) -> list[tuple[int, int]]:

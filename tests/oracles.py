@@ -10,6 +10,9 @@ exactly (identical outputs, ``==`` not approx), on any input size, with one
 exception: ``analyze`` sums its smoothing windows and band autocorrelations
 in a different order, so its envelope agrees within 1e-9 relative error and
 its aperiodicity within 1e-9 absolute error (its F0 is still identical).
+``extract_f0_oracle`` follows the package's cross-correlation: an FFT of
+next_fast_len(2w) points whose complex product takes the conjugate as its
+first factor; with ``fft_windows=3`` it gives the F0 of the earlier 3w size.
 """
 
 from __future__ import annotations
@@ -187,11 +190,15 @@ def textgrid_scan_oracle(text: str) -> Iterator[tuple[str, object]]:
 # -- frozen per-frame vocoder and pitch loops ----------------------------------
 
 
-def extract_f0_oracle(waveform: Waveform, hop: float = DEFAULT_HOP) -> F0Contour:
+def extract_f0_oracle(waveform: Waveform, hop: float = DEFAULT_HOP,
+                      fft_windows: int = 2) -> F0Contour:
     """Estimate the F0 contour of a mono waveform in DEFAULT_FMIN..DEFAULT_FMAX Hz.
 
     Requires sample_rate >= 4*DEFAULT_FMAX and at least two analysis windows
-    of audio (the integration window is one maximum pitch period).
+    of audio (the integration window is one maximum pitch period). The
+    cross-correlation runs at next_fast_len(fft_windows * w) points: 2, as in
+    the package, is the smallest size that does not wrap for lags 0..w; the
+    package ran at 3 before.
     """
     sr = waveform.sample_rate
     if sr < 4 * DEFAULT_FMAX:
@@ -215,10 +222,11 @@ def extract_f0_oracle(waveform: Waveform, hop: float = DEFAULT_HOP) -> F0Contour
 
     # difference function d(tau) = sum_j (x_j - x_{j+tau})^2 for tau in 0..w,
     # via energies plus an FFT cross-correlation
-    nfft = next_fast_len(3 * w)
+    nfft = next_fast_len(fft_windows * w)
     spec_full = rfft(frames, nfft, axis=1)
     spec_half = rfft(half, nfft, axis=1)
-    cross = irfft(spec_full * np.conj(spec_half), nfft, axis=1)[:, :w + 1]
+    # conjugate first: under FMA the complex product rounds by operand order
+    cross = irfft(np.conj(spec_half) * spec_full, nfft, axis=1)[:, :w + 1]
     csq = np.concatenate(
         [np.zeros((n, 1)), np.cumsum(frames * frames, axis=1)], axis=1
     )

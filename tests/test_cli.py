@@ -1231,3 +1231,64 @@ def _run_main(tmp_path, files, argv) -> str:
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     return proc.stderr
+
+
+# -- command-line paths that are not UTF-8 -------------------------------------
+
+def _path_options() -> list[tuple[str, str]]:
+    """(command, option) for every option that takes a file or directory."""
+    commands = next(a for a in build_parser()._actions if a.choices and a.dest == "command")
+    return [(name, action.option_strings[0]) for name, sub in commands.choices.items()
+            for action in sub._actions if action.metavar in ("FILE", "DIR")]
+
+
+def _run_bytes_argv(cwd, argv) -> subprocess.CompletedProcess:
+    """The CLI in a child process; argv items may be bytes, as a shell passes them."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from singprep.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+def _write_bytes_named(directory, name: bytes, data: bytes) -> bytes:
+    with open(os.path.join(os.fsencode(directory), name), "wb") as fh:
+        fh.write(data)
+    return name
+
+
+@pytest.mark.parametrize("command, option", _path_options())
+def test_path_that_is_not_utf8_is_a_usage_error_naming_the_option(command, option, capsys):
+    assert len(_path_options()) == 23  # --config on each of the six commands, and 17 more
+    with pytest.raises(SystemExit) as exc:
+        main([command, option, "h\udce9.json"])
+    assert exc.value.code == 2
+    assert f"argument {option}: not a UTF-8 path: 'h\\udce9.json'" in capsys.readouterr().err
+
+
+def test_eval_hyp_path_that_is_not_utf8_exits_2_and_writes_nothing(tmp_path):
+    wav, _ = write_clip_files(tmp_path, utt_id="clip")
+    write_json(tmp_path / "ref.json", {"utterances": [{"utt_id": "clip", "audio": str(wav)}]})
+    # its bad text field would put an error naming the manifest into the report
+    hyp = _write_bytes_named(tmp_path, b"h\xe9.json", json.dumps({"utterances": [
+        {"utt_id": "clip", "audio": str(wav), "text": 5}]}).encode())
+    proc = _run_bytes_argv(tmp_path, ["eval", "--ref", "ref.json", "--hyp", hyp,
+                                      "--output", "r.json"])
+    assert proc.returncode == 2, proc.stderr
+    assert "argument --hyp: not a UTF-8 path" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_pseudo_melody_bank_path_that_is_not_utf8_exits_2_and_writes_nothing(
+        speech_manifest):
+    manifest, tmp_path = speech_manifest
+    bank = _write_bytes_named(tmp_path, b"m\xe9.json",
+                              (SRC / "singprep" / "data" / "melodies.json").read_bytes())
+    proc = _run_bytes_argv(tmp_path, ["pseudo", "--manifest", manifest, "--melody-bank", bank,
+                                      "--output-dir", "out"])
+    assert proc.returncode == 2, proc.stderr
+    assert "argument --melody-bank: not a UTF-8 path" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()

@@ -115,14 +115,26 @@ def test_dsp_modules_load_numpy_and_no_scipy(tmp_path):
     assert not [m for m in loaded if m.startswith("scipy")]
 
 
+# What eval and the set-up of a command never run: the vocoder, pseudo-singing,
+# the annotation, score and TextGrid code, and conversion planning.
+NOT_IN_EVAL = ("singprep.dsp.vocoder", "singprep.pseudo", "singprep.annotation",
+               "singprep.score", "singprep.textgrid", "singprep.svc")
+
+
 def test_eval_loads_neither_vocoder_nor_pseudo(tmp_path):
     wav, _ = write_clip_files(tmp_path, utt_id="clip")
     pairs = write_json(tmp_path / "pairs.json", {"utterances": [
         {"utt_id": "clip", "audio": str(wav), "text": "song fan"}]})
     argvs = [["eval", "--ref", pairs, "--hyp", pairs, "--output", "report.json"]]
-    loaded = loaded_modules(run_commands(argvs), tmp_path,
-                            ("singprep.metrics", "singprep.dsp.vocoder", "singprep.pseudo"))
+    loaded = loaded_modules(run_commands(argvs), tmp_path, ("singprep.metrics", *NOT_IN_EVAL))
     assert loaded == ["singprep.metrics"]
+
+
+def test_cli_loads_the_bundled_tables_without_the_command_modules(tmp_path):
+    # what a set-up needs from the CLI module before any command runs
+    code = ("import singprep.cli as c\n"
+            "assert c.default_lexicon().english_entries and c.load_melody_bank()\n")
+    assert loaded_modules(code, tmp_path, ("numpy", *NOT_IN_EVAL)) == []
 
 
 # A meta-path finder that refuses scipy, as in an environment without it.

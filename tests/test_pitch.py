@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
+from singprep.dsp import pitch
 from singprep.dsp.audio import Waveform
-from singprep.dsp.pitch import (F0Contour, extract_f0, frame_count, hz_from_midi, midi_from_hz,
-                                nearest_midi, next_fast_len, periodic_hann, transpose_f0)
+from singprep.dsp.pitch import (DEFAULT_FMIN, F0Contour, extract_f0, frame_count, hz_from_midi,
+                                midi_from_hz, nearest_midi, next_fast_len, periodic_hann,
+                                transpose_f0)
 from singprep.errors import InputError
 
 from helpers import SR, sine, voiced_segment
@@ -134,13 +138,40 @@ def test_next_fast_len_equals_scipy():
         scipy_next_fast_len(n) for n in range(1, 20001)]
 
 
+PITCH_RATES = (16000, 22050, 24000, 44100, 48000)
+
+
+def pitch_fft_shapes(sr: int, windows: int) -> list[tuple[int, int]]:
+    """extract_f0's cross-correlation FFTs at sr: frames of width 2w and w,
+    zero-padded to next_fast_len(windows * w) for a w-sample window."""
+    w = math.ceil(sr / DEFAULT_FMIN)
+    nfft = next_fast_len(windows * w)
+    return [(nfft, 2 * w), (nfft, w)]
+
+
 # (transform length, input width) of every FFT the code runs: extract_f0's
-# cross-correlation at 16, 22.05, 24, 44.1 and 48 kHz (frames of width 2w and
-# w, zero-padded to next_fast_len(3w)), the vocoder at DEFAULT_FFT and twice
-# it, and mcep's 50 ms window at 24 kHz
-_FFT_SHAPES = [(750, 494), (750, 247), (1024, 680), (1024, 340), (1120, 740), (1120, 370),
-               (2048, 1358), (2048, 679), (2240, 1478), (2240, 739),
-               (1024, 1024), (2048, 1024), (1200, 1200)]
+# cross-correlation at PITCH_RATES (next_fast_len(2w) points), the vocoder at
+# DEFAULT_FFT and twice it, and mcep's 50 ms window at 24 kHz; and the 3w
+# sizes at which extract_f0 correlated before, which the oracle still runs
+# to bound the difference
+_PITCH_SHAPES = [shape for sr in PITCH_RATES for shape in pitch_fft_shapes(sr, 2)]
+_OLD_PITCH_SHAPES = [shape for sr in PITCH_RATES for shape in pitch_fft_shapes(sr, 3)]
+_FFT_SHAPES = [*_PITCH_SHAPES, *_OLD_PITCH_SHAPES, (1024, 1024), (2048, 1024), (1200, 1200)]
+
+
+def test_pitch_fft_shapes_are_the_ones_extract_f0_runs(monkeypatch):
+    assert _PITCH_SHAPES == [(495, 494), (495, 247), (686, 680), (686, 340), (750, 740),
+                             (750, 370), (1372, 1358), (1372, 679), (1485, 1478), (1485, 739)]
+    seen = set()
+
+    def spy(a, n=None, axis=-1, norm=None, out=None):
+        seen.add((n, a.shape[axis]))
+        return np.fft.rfft(a, n, axis=axis, norm=norm, out=out)
+
+    monkeypatch.setattr(pitch, "rfft", spy)
+    for sr in PITCH_RATES:
+        extract_f0(sine(220.0, 0.2, sr=sr))
+    assert seen == set(_PITCH_SHAPES)
 
 
 @pytest.mark.parametrize("nfft, width", _FFT_SHAPES)

@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.signal import find_peaks, lfilter
 
 from singprep.dsp.audio import Waveform, write_wav
-from singprep.dsp.pitch import _BLOCK, DEFAULT_HOP, F0Contour, extract_f0, midi_from_hz
-from singprep.dsp import vocoder
-from singprep.dsp.vocoder import (DEFAULT_BANDS, DEFAULT_FFT, AnalysisResult, analyze, band_edges,
-                                  synthesize)
+from singprep.dsp.pitch import DEFAULT_HOP, F0Contour, extract_f0, midi_from_hz
+from singprep.dsp import pitch, vocoder
+from singprep.dsp.vocoder import (_BLOCK, DEFAULT_BANDS, DEFAULT_FFT, AnalysisResult, analyze,
+                                  band_edges, synthesize)
 from singprep.errors import InputError
 
 from helpers import SR, pulse_train, sine, speech_clip, voiced_segment
@@ -188,23 +188,34 @@ def test_analyze_calls_extract_f0_through_vocoder_module(monkeypatch):
 HOP_SAMPLES = 120  # the default 5 ms hop at SR
 
 
-def _frames_of(n_frames: int) -> Waveform:
-    """The speech clip tiled to exactly n_frames analysis frames."""
-    wave, _, _ = speech_clip()
-    return Waveform(np.resize(wave.samples, (n_frames - 1) * HOP_SAMPLES + 1), SR)
+def _frames_of(n_frames: int, samples: np.ndarray | None = None) -> Waveform:
+    """The speech clip (or samples) tiled or cut to exactly n_frames analysis frames."""
+    samples = speech_clip()[0].samples if samples is None else samples
+    return Waveform(np.resize(samples, (n_frames - 1) * HOP_SAMPLES + 1), SR)
 
+
+def _glide() -> np.ndarray:
+    return 0.8 * voiced_segment(3.2, 70.0, 700.0, [(600, 90), (1400, 140)])
+
+
+# extract_f0 runs in blocks of pitch._BLOCK frames, analyze and synthesize in
+# blocks of vocoder._BLOCK frames. The f0_last_block clips end in an F0 block
+# of 1, 31 and 33 frames, voiced throughout: there the complex product's last
+# bits, which depend on its operand order, reach the F0.
+F0_LAST_BLOCKS = (1, 31, 33)
 
 ORACLE_CLIPS = {
     "below_one_block": lambda: speech_clip()[0],
     "one_block": lambda: _frames_of(_BLOCK),
     "one_past_a_block": lambda: _frames_of(_BLOCK + 1),
+    **{f"f0_last_block_of_{r}": (lambda r=r: _frames_of(2 * pitch._BLOCK + r, _glide()))
+       for r in F0_LAST_BLOCKS},
     "noise": lambda: Waveform(0.3 * np.random.default_rng(7).standard_normal(SR), SR),
     "digital_silence": lambda: Waveform(np.zeros(SR // 2), SR),
     # a tone under the F0 silence floor, then the same tone well above it
     "tone_below_silence_floor": lambda: Waveform(np.concatenate(
         [1e-6 * sine(220.0, 0.3).samples, sine(220.0, 0.3).samples]), SR),
-    "voiced_glide": lambda: Waveform(
-        0.8 * voiced_segment(3.2, 70.0, 700.0, [(600, 90), (1400, 140)]), SR),
+    "voiced_glide": lambda: Waveform(_glide(), SR),
 }
 
 
@@ -222,6 +233,13 @@ def assert_matches_oracles(wave: Waveform):
     assert np.array_equal(out.samples, ref.samples)
 
 
+def assert_f0_near_old_fft_size(wave: Waveform, hop: float):
+    new = extract_f0(wave, hop).values
+    old = extract_f0_oracle(wave, hop, fft_windows=3).values
+    assert np.array_equal(new > 0, old > 0)
+    assert np.all(np.abs(new - old) <= 1e-12 * old)
+
+
 class TestFrozenOracles:
     @pytest.mark.parametrize("name", sorted(ORACLE_CLIPS))
     def test_clip_matches_oracles(self, name):
@@ -230,6 +248,8 @@ class TestFrozenOracles:
     def test_block_boundary_clips_have_the_intended_frame_counts(self):
         assert [len(extract_f0(ORACLE_CLIPS[k]())) for k in
                 ("one_block", "one_past_a_block")] == [_BLOCK, _BLOCK + 1]
+        assert [len(extract_f0(ORACLE_CLIPS[f"f0_last_block_of_{r}"]())) % pitch._BLOCK
+                for r in F0_LAST_BLOCKS] == list(F0_LAST_BLOCKS)
 
     def test_coverage_clips_voicing(self):
         assert not np.any(extract_f0(ORACLE_CLIPS["digital_silence"]()).voiced)
@@ -237,6 +257,19 @@ class TestFrozenOracles:
         assert not np.any(quiet_then_loud[:50]) and np.all(quiet_then_loud[-50:])
         assert extract_f0(ORACLE_CLIPS["noise"]()).voiced.mean() < 0.1
         assert extract_f0(ORACLE_CLIPS["voiced_glide"]()).voiced.mean() > 0.9
+
+    @pytest.mark.parametrize("hop", [DEFAULT_HOP, 0.0125])  # the pseudo and eval hops
+    @pytest.mark.parametrize("name", sorted(ORACLE_CLIPS))
+    def test_f0_at_the_old_fft_size_differs_only_in_the_last_bits(self, name, hop):
+        # extract_f0 correlated at next_fast_len(3w) points before; at 2w no
+        # voicing decision flips and F0 moves by at most 1e-12 relative
+        assert_f0_near_old_fft_size(ORACLE_CLIPS[name](), hop)
+
+    @pytest.mark.parametrize("sr", [16000, 22050, 44100, 48000])
+    def test_f0_at_the_old_fft_size_at_other_rates(self, sr):
+        glide = 0.8 * voiced_segment(1.2, 70.0, 700.0, [(600, 90), (1400, 140)], sr=sr)
+        assert_f0_near_old_fft_size(Waveform(np.concatenate([glide, np.zeros(sr // 5)]), sr),
+                                    DEFAULT_HOP)
 
     @settings(max_examples=15, deadline=None)
     @given(
