@@ -11,10 +11,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import ParseError, ValidationError
-from .jsonio import dumps_document, list_entries, loads, read_json, read_text
+from .jsonio import dumps_document, list_entries, loads, read_json, read_text, write_output
 from .score import PhonemeEvent
 
 VOICE_PARTS = ("Bass", "Baritone", "Tenor", "Alto", "Soprano")
@@ -147,12 +146,8 @@ def validate_document(doc: dict) -> None:
         raise ValidationError(failures)
 
 
-def dumps_annotation(record: AnnotationRecord) -> str:
-    return dumps_document(record.to_document())
-
-
 def write_annotation(record: AnnotationRecord, path) -> None:
-    Path(path).write_text(dumps_annotation(record), encoding="utf-8")
+    write_output(dumps_document(record.to_document()), path)
 
 
 def read_annotation(path) -> AnnotationRecord:
@@ -196,9 +191,5 @@ def read_manifest(path) -> list[AnnotationRecord]:
     return records
 
 
-def dumps_manifest(records: list[AnnotationRecord]) -> str:
-    return dumps_document({"records": [r.to_document() for r in records]})
-
-
 def write_manifest(records: list[AnnotationRecord], path) -> None:
-    Path(path).write_text(dumps_manifest(records), encoding="utf-8")
+    write_output(dumps_document({"records": [r.to_document() for r in records]}), path)

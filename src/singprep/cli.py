@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 from . import __version__
 from .config import STRATEGIES, PipelineConfig, resolve_config
 from .errors import InputError, ParseError, ValidationError
-from .jsonio import dumps_document, list_entries, read_json, read_text
+from .jsonio import dumps_document, list_entries, read_json, read_text, write_output
 from .lexicon import (ENGLISH, MANDARIN, Lexicon, LyricToken, default_lexicon, g2p,
                       language_of, segment_lyrics)
 from .melody import choose_melody, load_melody_bank
@@ -103,13 +103,6 @@ def _file_size(path) -> int:
         return 0
 
 
-def _write_text(text: str, path: str | None) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
-
-
 def _read_entries(path, list_key: str, required: tuple[str, ...]) -> list[dict]:
     """A JSON manifest: either {list_key: [...]} or a bare list of objects."""
     entries = list_entries(read_json(path), list_key, path)
@@ -163,7 +156,7 @@ def cmd_g2p(args, cfg: PipelineConfig) -> int:
             raise
         raise InputError(f"{source}: {exc}") from None
     body = " ".join(seq.phonemes) + "\n" + " ".join(str(t) for t in seq.language_tokens) + "\n"
-    _write_text(body, args.output)
+    write_output(body, args.output)
     return EXIT_OK
 
 
@@ -209,7 +202,7 @@ def cmd_transcode(args, cfg: PipelineConfig) -> int:
         result = transform_score(events, lexicon)
     except InputError as exc:
         raise InputError(f"{args.score}: {exc}") from None
-    _write_text(dumps_document(result.to_dict()), args.output)
+    write_output(dumps_document(result.to_dict()), args.output)
     return EXIT_OK
 
 
@@ -249,7 +242,7 @@ def _corpus_ratios(records, alignment_dir, lexicon: Lexicon) -> RatioTable:
 
 
 def cmd_adapt(args, cfg: PipelineConfig) -> int:
-    from .annotation import AnnotationRecord, dumps_manifest, read_manifest, write_manifest
+    from .annotation import AnnotationRecord, read_manifest, write_manifest
     from .score import RatioTable, adapt_average, adapt_proportional
 
     lexicon = default_lexicon(cfg.cmu_dict, cfg.pinyin_map, cfg.hanzi_table)
@@ -286,10 +279,7 @@ def cmd_adapt(args, cfg: PipelineConfig) -> int:
                 record.singer_id, record.voice_part,
             )
         )
-    if args.output is None or args.output == "-":
-        sys.stdout.write(dumps_manifest(adapted))
-    else:
-        write_manifest(adapted, args.output)
+    write_manifest(adapted, args.output)
     if ratios is not None:
         for unit, events in sorted(ratios.misses.items()):
             log.warning("no ratio for unit %r in %d events; split equally", unit, events)
@@ -340,7 +330,7 @@ def cmd_pseudo(args, cfg: PipelineConfig) -> int:
     ).values()
     for entry in entries:
         utt_id = entry["utt_id"]
-        if Path(utt_id).name != utt_id or utt_id in (".", "..") or "\0" in utt_id:
+        if Path(utt_id).name != utt_id or utt_id in (".", "..", "summary") or "\0" in utt_id:
             raise InputError(f"{args.manifest}: utt_id {utt_id!r} is not a plain file name")
     bank = load_melody_bank(cfg.melody_bank)
     out_dir = Path(args.output_dir)
@@ -364,7 +354,7 @@ def cmd_pseudo(args, cfg: PipelineConfig) -> int:
         else:
             log.info("%s: melody %s", utt_id, melody_id)
             summary["utterances"][utt_id] = {"melody": melody_id, "status": "ok"}
-    (out_dir / "summary.json").write_text(dumps_document(summary), encoding="utf-8")
+    write_output(dumps_document(summary), out_dir / "summary.json")
     if failures:
         log.error("%d of %d utterances failed", failures, len(results))
         return EXIT_INPUT
@@ -375,7 +365,7 @@ def cmd_pseudo(args, cfg: PipelineConfig) -> int:
 
 def cmd_plan_svc(args, cfg: PipelineConfig) -> int:
     from .annotation import normalize_voice_part
-    from .svc import build_job_manifest, dumps_job_manifest
+    from .svc import build_job_manifest
 
     src_entries = _read_entries(args.sources, "sources", ("utt_id", "audio", "voice_part"))
     tgt_entries = _read_entries(args.targets, "targets", ("singer", "voice_part"))
@@ -395,7 +385,7 @@ def cmd_plan_svc(args, cfg: PipelineConfig) -> int:
         [(e["singer"], e["voice_part"]) for e in tgt_entries],
     )
     log.info("%d sources x %d targets -> %d jobs", len(src_entries), len(tgt_entries), len(jobs))
-    _write_text(dumps_job_manifest(jobs), args.output)
+    write_output(dumps_document({"jobs": [j.to_document() for j in jobs]}), args.output)
     return EXIT_OK
 
 
@@ -446,11 +436,10 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
         if error:
             log.error("%s: %s", utt_id, error)
             report.failures[utt_id] = error
-    if args.output is not None and args.output != "-":
-        Path(args.output).write_text(report.dumps(), encoding="utf-8")
-        sys.stdout.write(report.table() if args.table else "")
-    else:
-        sys.stdout.write(report.table() if args.table else report.dumps())
+    if args.output not in (None, "-") or not args.table:  # the table replaces stdout's JSON
+        write_output(dumps_document(report.to_document()), args.output)
+    if args.table:
+        write_output(report.table(), None)
     if report.failures:
         log.error("%d of %d pairs failed", len(report.failures), len(payloads))
         return EXIT_INPUT

@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import math
 import wave
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import InputError
-from ..jsonio import open_input
+from ..jsonio import open_input, write_output
 
 
 @dataclass(frozen=True)
@@ -66,12 +66,13 @@ def write_wav(waveform: Waveform, path) -> None:
     """Write 16-bit PCM mono. Values are clipped to the representable range."""
     scaled = np.rint(waveform.samples * 32768.0)
     pcm = np.clip(scaled, -32768, 32767).astype("<i2")
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with wave.open(str(path), "wb") as fh:
+    riff = io.BytesIO()
+    with wave.open(riff, "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
         fh.setframerate(waveform.sample_rate)
         fh.writeframes(pcm.tobytes())
+    write_output(riff.getvalue(), path)
 
 
 def resample(waveform: Waveform, target_rate: int) -> Waveform:

@@ -1,6 +1,6 @@
 """JSON in and out: the one opener of input paths, the one UTF-8 text reader,
-the one JSON parser and JSON file reader, the one list-document check, and
-the one indented writer for every document the toolkit emits.
+the one JSON parser and JSON file reader, the one list-document check, the
+one indented writer of documents, and the one writer of every output.
 
 It imports only the error types, so every module can use it at top level.
 """
@@ -8,7 +8,10 @@ It imports only the error types, so every module can use it at top level.
 from __future__ import annotations
 
 import json
+import os
 import re
+import stat
+import sys
 
 from .errors import InputError, ParseError
 
@@ -91,3 +94,31 @@ def _dumps(obj, pad: str) -> str:
     # Scalars, empty containers and non-string keys: the stdlib, re-indented
     # (encoded strings hold no raw newline).
     return json.dumps(obj, ensure_ascii=False, indent=2).replace("\n", "\n" + pad)
+
+
+def write_output(data: str | bytes, path) -> None:
+    """data (a str as UTF-8) to path, or the str to stdout if path is None or "-".
+
+    A file is replaced whole by .<name>.<pid>.tmp written beside its real path,
+    so a symlink keeps its link and a failure leaves the old file as it was.
+    A FIFO or a device is written in place; a directory raises IsADirectoryError.
+    """
+    if path is None or path == "-":
+        sys.stdout.write(data)
+        return
+    raw = data.encode("utf-8") if isinstance(data, str) else data
+    try:
+        in_place = not stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:  # a new file, or a symlink to none yet
+        in_place = False
+    real = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(real), f".{os.path.basename(real)}.{os.getpid()}.tmp")
+    try:
+        with open(path if in_place else tmp, "wb") as fh:
+            fh.write(raw)
+        if not in_place:
+            os.replace(tmp, real)
+    except BaseException:
+        if os.path.lexists(tmp):
+            os.unlink(tmp)
+        raise

@@ -18,7 +18,7 @@ from .dsp.audio import Waveform, resample
 from .dsp.pitch import (F0Contour, centered_frames, extract_f0, frame_count, nearest_midi,
                         periodic_hann)
 from .errors import InputError
-from .jsonio import dumps_document, open_input
+from .jsonio import open_input
 from .lexicon import split_words
 
 MCEP_ORDER = 13
@@ -371,9 +371,6 @@ class EvalReport:
         if self.failures:
             doc["failures"] = self.failures
         return doc
-
-    def dumps(self) -> str:
-        return dumps_document(self.to_document())
 
     def table(self) -> str:
         """Aligned plain-text table, one row per utterance plus the mean."""

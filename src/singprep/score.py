@@ -21,11 +21,10 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import InputError, ParseError
-from .jsonio import dumps_document, read_json
+from .jsonio import read_json
 from .lexicon import CMU_VOWELS, ENGLISH, Lexicon, LyricToken, token_phones
 from .textgrid import AlignmentTier
 
@@ -224,9 +223,6 @@ class RatioTable:
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"ratio table unit {unit!r}: {exc}") from None
         return table
-
-    def save(self, path) -> None:
-        Path(path).write_text(dumps_document(self.to_dict()), encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "RatioTable":

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .annotation import VOICE_PARTS, normalize_voice_part
 from .errors import InputError
-from .jsonio import dumps_document
 
 # rows: source part; columns: target part; both in VOICE_PARTS order
 # (Bass, Baritone, Tenor, Alto, Soprano); values in semitones.
@@ -87,7 +86,3 @@ def build_job_manifest(
                 )
             )
     return jobs
-
-
-def dumps_job_manifest(jobs: list[ConversionJob]) -> str:
-    return dumps_document({"jobs": [j.to_document() for j in jobs]})

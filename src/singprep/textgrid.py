@@ -12,11 +12,10 @@ import logging
 import math
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator
 
 from .errors import ParseError
-from .jsonio import open_input
+from .jsonio import open_input, write_output
 
 log = logging.getLogger(__name__)
 
@@ -253,4 +252,4 @@ def serialize_textgrid(tiers: list[AlignmentTier]) -> str:
 
 
 def write_textgrid(tiers: list[AlignmentTier], path) -> None:
-    Path(path).write_text(serialize_textgrid(tiers), encoding="utf-8")
+    write_output(serialize_textgrid(tiers), path)

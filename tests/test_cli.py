@@ -16,6 +16,7 @@ from singprep.cli import build_parser, derive_seed, main
 from singprep.config import PipelineConfig
 from singprep.dsp.audio import write_wav
 from singprep.errors import InputError
+from singprep.jsonio import dumps_document
 from singprep.melody import load_melody_bank
 from singprep.score import PhonemeEvent, RatioTable
 from singprep.textgrid import AlignmentTier, Interval, serialize_textgrid, write_textgrid
@@ -318,7 +319,7 @@ class TestAdapt:
         table = RatioTable()
         table.set("c", ("T", "S"), (0.2, 0.8))
         table.set("uen", ("UW", "AH", "N"), (1 / 3, 1 / 3, 1 / 3))
-        table.save(tmp_path / "ratios.json")
+        (tmp_path / "ratios.json").write_text(dumps_document(table.to_dict()), encoding="utf-8")
         out = tmp_path / "out.json"
         assert main(["adapt", "--input", manifest, "--strategy", "proportional",
                      "--ratios", str(tmp_path / "ratios.json"),
@@ -583,7 +584,8 @@ class TestPseudo:
         assert main(["pseudo", "--manifest", str(tmp_path / "nope.json"),
                      "--output-dir", str(tmp_path / "out")]) == 2
 
-    @pytest.mark.parametrize("utt_id", ["../escaped", "sub/clip", "clip/", "..", ".", "ABS"])
+    @pytest.mark.parametrize("utt_id", ["../escaped", "sub/clip", "clip/", "..", ".", "ABS",
+                                        "summary"])
     def test_utt_id_that_is_not_a_file_name_fails(self, tmp_path, utt_id):
         inputs = tmp_path / "in"
         inputs.mkdir()
@@ -1044,14 +1046,35 @@ def test_text_command_fuzz_exits_0_or_2(tmp_path_factory, caplog, capsys, monkey
         files[name] = _mangle(data, text.replace(json.dumps(_INF), "1e309").encode())
     for name, raw in files.items():
         (base / name).write_bytes(raw)
+    for stale in base.glob("out.*"):
+        stale.unlink()
     argv = data.draw(st.sampled_from(_FUZZ_ARGV[command]))
+    output = argv[argv.index("--output") + 1]
+    if data.draw(st.integers(0, 9)) == 0:  # a path that is not UTF-8, as sys.argv holds it
+        paths = [i for i, a in enumerate(argv) if a in files or a == output]
+        at = data.draw(st.sampled_from(paths))
+        argv = [*argv[:at], argv[at] + "\udce9", *argv[at + 1:]]
     if data.draw(st.integers(0, 9)) == 0:  # an input path that names no file
         argv = [a + "\0" if a in files else a for a in argv]
     caplog.clear()
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejected a path before the command ran
+        code = exc.code
     capsys.readouterr()
     assert code in (0, 2), caplog.text
     assert not any(r.exc_info for r in caplog.records), caplog.text
+    written = sorted(p.name for p in base.glob("out.*"))
+    if code == 2:
+        assert written == [], caplog.text
+    else:  # whole: two lines from g2p, one JSON document from the others
+        assert written == [output]
+        text = (base / output).read_text(encoding="utf-8")
+        if command == "g2p":
+            assert text.endswith("\n") and text.count("\n") == 2
+        else:
+            json.loads(text)
+    assert [p.name for p in base.iterdir() if p.name.endswith(".tmp")] == []
 
 
 # -- exit code 2 for malformed input -------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from singprep.annotation import AnnotationRecord, validate_document
 from singprep.errors import ParseError
+from singprep.jsonio import dumps_document, write_output
 from singprep.lexicon import ENGLISH, MANDARIN, LyricToken, default_lexicon
 from singprep.score import (PhonemeEvent, RatioTable, ScoreEvent, adapt_average,
                             adapt_proportional, extract_ratios, transform_score)
@@ -218,7 +219,7 @@ class TestExtractRatios:
 class TestRatioTable:
     def test_save_load_round_trip(self, tmp_path):
         rt = cun_ratios()
-        rt.save(tmp_path / "r.json")
+        write_output(dumps_document(rt.to_dict()), tmp_path / "r.json")
         back = RatioTable.load(tmp_path / "r.json")
         assert back.get("c", ("T", "S")) == rt.get("c", ("T", "S"))
         assert back.get("uen", ("UW", "AH", "N")) == rt.get("uen", ("UW", "AH", "N"))

@@ -4,7 +4,8 @@ import pytest
 
 from singprep.annotation import VOICE_PARTS
 from singprep.errors import ValidationError
-from singprep.svc import ConversionJob, build_job_manifest, dumps_job_manifest, plan_conversion
+from singprep.jsonio import dumps_document
+from singprep.svc import ConversionJob, build_job_manifest, plan_conversion
 
 # From: Bass, Baritone, Tenor, Alto, Soprano; To: the same order.
 EXPECTED_MATRIX = {
@@ -86,7 +87,7 @@ class TestBuildJobManifest:
 class TestWriteJobManifest:
     def test_written_document_shape(self):
         jobs = build_job_manifest([("u1", "u1.wav", "Bass")], [("t1", "Tenor")])
-        doc = json.loads(dumps_job_manifest(jobs))
+        doc = json.loads(dumps_document({"jobs": [j.to_document() for j in jobs]}))
         assert doc["jobs"] == [{
             "source_utt": "u1",
             "source_audio": "u1.wav",
@@ -97,4 +98,5 @@ class TestWriteJobManifest:
         }]
 
     def test_empty_manifest(self):
-        assert json.loads(dumps_job_manifest([])) == {"jobs": []}
+        jobs = build_job_manifest([], [("t1", "Tenor")])
+        assert json.loads(dumps_document({"jobs": [j.to_document() for j in jobs]})) == {"jobs": []}
