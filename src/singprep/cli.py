@@ -134,6 +134,11 @@ def _by_utt_id(entries: list[dict], path) -> dict[str, dict]:
     return by_id
 
 
+def _tier(tiers, kind: str):
+    """The first TextGrid tier whose lower-cased name contains kind, or None."""
+    return next((t for t in tiers if kind in t.name.lower()), None)
+
+
 # -- g2p ----------------------------------------------------------------------
 
 def cmd_g2p(args, cfg: PipelineConfig) -> int:
@@ -231,11 +236,11 @@ def _corpus_ratios(records, alignment_dir, lexicon: Lexicon) -> RatioTable:
         if not tg_path.exists():
             log.warning("no alignment for %s, skipping", record.utterance_id)
             continue
-        tiers = [t for t in read_textgrid(tg_path) if "phone" in t.name.lower()]
-        if not tiers:
+        phone_tier = _tier(read_textgrid(tg_path), "phone")
+        if phone_tier is None:
             log.warning("%s: no phone tier", tg_path)
             continue
-        tables.append(extract_ratios(tiers[0], _expected_units(record, lexicon)))
+        tables.append(extract_ratios(phone_tier, _expected_units(record, lexicon)))
     if not tables:
         raise InputError(f"{alignment_dir}: no usable alignments found")
     return RatioTable.average(tables)
@@ -289,8 +294,7 @@ def cmd_adapt(args, cfg: PipelineConfig) -> int:
 # -- pseudo -------------------------------------------------------------------
 
 def _find_tiers(tiers, path):
-    word = next((t for t in tiers if "word" in t.name.lower()), None)
-    phone = next((t for t in tiers if "phone" in t.name.lower()), None)
+    word, phone = _tier(tiers, "word"), _tier(tiers, "phone")
     if word is None or phone is None:
         names = ", ".join(t.name for t in tiers) or "none"
         raise InputError(f"{path}: need word and phone tiers, found: {names}")
@@ -449,9 +453,11 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
 # -- parser -------------------------------------------------------------------
 
 def _path(value: str) -> str:
-    """The type of every path option: a path that UTF-8 logs, reports and
-    manifests can hold. A command-line path that is not UTF-8 reaches Python
-    with surrogate escapes, which no UTF-8 writer can encode."""
+    """The type of every path option: a nonempty path that UTF-8 logs, reports
+    and manifests can hold. A command-line path that is not UTF-8 reaches
+    Python with surrogate escapes, which no UTF-8 writer can encode."""
+    if not value:
+        raise argparse.ArgumentTypeError("empty path")
     try:
         value.encode("utf-8")
     except UnicodeEncodeError:

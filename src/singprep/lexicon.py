@@ -45,8 +45,23 @@ DEFAULT_INITIALS = (
 _DATA_PACKAGE = "singprep.data"
 
 
+# Labels that mean "no phoneme here": short pause, aspiration, silence.
+SILENCE_LABELS = frozenset({"", "sp", "ap", "sil", "spn", "pau", "<sp>", "<ap>"})
+
+
+def is_silence_label(label: str) -> bool:
+    return label.lower() in SILENCE_LABELS
+
+
 def _strip_stress(phone: str) -> str:
     return phone.rstrip("012")
+
+
+def aligned_phone(label: str) -> str | None:
+    """The phone an alignment label names, stripped of surrounding whitespace,
+    upper-cased and stress-free; None for a silence marker or an empty label."""
+    label = label.strip()
+    return None if is_silence_label(label) else _strip_stress(label.upper())
 
 
 def _is_han(ch: str) -> bool:

@@ -16,12 +16,12 @@ from .dsp.pitch import DEFAULT_HOP, F0Contour, hz_from_midi
 from .dsp.vocoder import analyze, synthesize
 from .dsp.audio import Waveform
 from .errors import InputError, ValidationError
-from .lexicon import CMU_PHONES, language_of
+from .lexicon import CMU_PHONES, aligned_phone, is_silence_label, language_of
 # load_melody_bank stays importable from here because bench/tracing.py wraps
 # singprep.pseudo.load_melody_bank; without it that traced layer would
 # silently record nothing.
 from .melody import MelodyTemplate, load_melody_bank  # noqa: F401
-from .score import PSEUDO_SINGING, SILENCE_LABELS, PhonemeEvent
+from .score import PSEUDO_SINGING, PhonemeEvent
 from .textgrid import AlignmentTier, Interval
 
 _ALIGN_TOLERANCE = 0.05  # seconds of admissible waveform/alignment mismatch
@@ -57,29 +57,24 @@ def render_melody(template: MelodyTemplate, n_frames: int) -> F0Contour:
     return F0Contour(values)
 
 
-def _normalize_phone(label: str) -> str:
-    ph = label.strip().upper()
-    if ph and ph[-1] in "012":
-        ph = ph[:-1]
-    if ph not in CMU_PHONES:
-        raise InputError(f"phone tier label {label!r} is not a recognized phone")
-    return ph
-
-
 def _speech_phone_events(
     word_tier: AlignmentTier, phone_tier: AlignmentTier
 ) -> list[tuple[Interval, str, Interval]]:
-    """Pair each non-silent phone with the word containing its midpoint."""
-    words = word_tier.labelled(drop=SILENCE_LABELS)
+    """Pair each phone aligned_phone reads with the word containing its midpoint."""
+    words = [w for w in word_tier.intervals if not is_silence_label(w.label.strip())]
+    phones = [(iv, ph) for iv in phone_tier.intervals
+              if (ph := aligned_phone(iv.label)) is not None]
     out = []
-    for iv in phone_tier.labelled(drop=SILENCE_LABELS):
+    for iv, ph in phones:
         mid = (iv.start + iv.end) / 2.0
         parent = next((w for w in words if w.start - 1e-9 <= mid < w.end + 1e-9), None)
         if parent is None:
             raise InputError(
                 f"phone {iv.label!r} at {iv.start:.3f}s lies outside every word interval"
             )
-        out.append((iv, _normalize_phone(iv.label), parent))
+        if ph not in CMU_PHONES:
+            raise InputError(f"phone tier label {iv.label!r} is not a recognized phone")
+        out.append((iv, ph, parent))
     return out
 
 

@@ -21,25 +21,20 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from .errors import InputError, ParseError
 from .jsonio import read_json
-from .lexicon import CMU_VOWELS, ENGLISH, Lexicon, LyricToken, token_phones
+from .lexicon import (CMU_VOWELS, ENGLISH, Lexicon, LyricToken, aligned_phone,
+                      is_silence_label, token_phones)
 from .textgrid import AlignmentTier
 
 log = logging.getLogger(__name__)
 
-# Labels that mean "no phoneme here": short pause, aspiration, silence.
-SILENCE_LABELS = frozenset({"", "sp", "ap", "sil", "spn", "pau", "<sp>", "<ap>"})
-
 SPEECH, SINGING, PSEUDO_SINGING = 0, 1, 2
 
 _MIN_ALIGNED_DUR = 0.005  # one 5 ms frame: floor for aligned phone durations
-
-
-def is_silence_label(label: str) -> bool:
-    return label.lower() in SILENCE_LABELS
 
 
 @dataclass(frozen=True)
@@ -364,24 +359,26 @@ def extract_ratios(
 ) -> RatioTable:
     """Duration ratios per Pinyin unit from a forced-alignment phone tier.
 
-    The aligned phone sequence (silences removed, stress stripped) must equal
-    the concatenation of the expected expansions; on mismatch the table is
-    empty, so every unit falls back to an even split. Zero-duration aligned
+    The aligned phone sequence (each label read by aligned_phone, silences
+    dropped) must equal the concatenation of the expected expansions; on
+    mismatch the table is empty, so every unit falls back to an even split,
+    and a warning names the first phone that differs. Zero-duration aligned
     phones are floored at one frame before normalizing. A unit aligned more
     than once gets the mean of its per-occurrence weights.
     """
     table = RatioTable()
     aligned = [
-        (iv.label.upper().rstrip("012"), iv.end - iv.start)
+        (ph, iv.end - iv.start)
         for iv in alignment.intervals
-        if not is_silence_label(iv.label)
+        if (ph := aligned_phone(iv.label)) is not None
     ]
+    phones = [ph for ph, _ in aligned]
     concat = [ph for _, exp in expected for ph in exp]
-    if [ph for ph, _ in aligned] != concat:
-        log.warning(
-            "alignment mismatch on tier %r: %d aligned phones vs %d expected",
-            alignment.name, len(aligned), len(concat),
-        )
+    if phones != concat:
+        pos, got, want = next((i, a, e) for i, (a, e) in
+                              enumerate(zip_longest(phones, concat)) if a != e)
+        log.warning("alignment mismatch on tier %r: phone %d is %r, expected %r",
+                    alignment.name, pos + 1, got, want)
         return table
 
     per_unit: dict[str, tuple[tuple[str, ...], list[list[float]]]] = {}

@@ -36,14 +36,15 @@ class AlignmentTier:
 
     def __post_init__(self):
         prev_end = None
-        for iv in self.intervals:
+        for k, iv in enumerate(self.intervals, 1):
             if iv.start >= iv.end:
                 raise ParseError(
-                    f"tier {self.name!r}: interval with xmin {iv.start} >= xmax {iv.end}"
+                    f"tier {self.name!r}: interval {k} has xmin {iv.start} >= xmax {iv.end}"
                 )
             if prev_end is not None and iv.start < prev_end - 1e-9:
                 raise ParseError(
-                    f"tier {self.name!r}: overlapping intervals at {iv.start}"
+                    f"tier {self.name!r}: interval {k} starts at {iv.start}, "
+                    f"before interval {k - 1} ends at {prev_end}"
                 )
             prev_end = iv.end
 
@@ -54,17 +55,6 @@ class AlignmentTier:
     @property
     def xmax(self) -> float:
         return self.intervals[-1].end if self.intervals else 0.0
-
-    def labelled(self, drop: frozenset[str] | None = None) -> list[Interval]:
-        """Intervals with nonempty labels (optionally dropping a label set)."""
-        out = []
-        for iv in self.intervals:
-            if not iv.label.strip():
-                continue
-            if drop and iv.label.lower() in drop:
-                continue
-            out.append(iv)
-        return out
 
 
 # -- scanner ---------------------------------------------------------------
@@ -147,8 +137,8 @@ class _Cursor:
 def parse_textgrid(text: str) -> list[AlignmentTier]:
     """Parse TextGrid text (either form) into interval tiers.
 
-    Times must be finite and counts nonnegative integers; a ParseError names
-    the tier and interval that breaks either rule.
+    Times must be finite, counts nonnegative integers and intervals in order
+    (AlignmentTier); a ParseError names the tier and interval that breaks a rule.
     """
     cur = _Cursor(list(_scan(text)))
     header = cur.next("str", "file type header")
@@ -177,10 +167,6 @@ def parse_textgrid(text: str) -> list[AlignmentTier]:
                 xmin = cur.time("tier {!r} interval {} xmin", name, k)
                 xmax = cur.time("tier {!r} interval {} xmax", name, k)
                 label = cur.next("str", "tier {!r} interval {} text", name, k)
-                if xmin > xmax:
-                    raise ParseError(
-                        f"tier {name!r}: interval {k} has xmin {xmin} > xmax {xmax}"
-                    )
                 intervals.append(Interval(xmin, xmax, label))
             tiers.append(AlignmentTier(name, intervals))
         elif tclass == "TextTier":

@@ -1290,6 +1290,26 @@ def test_path_that_is_not_utf8_is_a_usage_error_naming_the_option(command, optio
     assert f"argument {option}: not a UTF-8 path: 'h\\udce9.json'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, option", _path_options())
+def test_empty_path_is_a_usage_error_naming_the_option(command, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, option, ""])
+    assert exc.value.code == 2
+    assert f"argument {option}: empty path" in capsys.readouterr().err
+
+
+def test_empty_output_path_exits_2_before_reading_or_writing(tmp_path, monkeypatch):
+    inner = tmp_path / "inner"
+    inner.mkdir()
+    write_json(inner / "score.json", {"events": [{"lyric": "fan", "note": 60, "dur": 0.5}]})
+    monkeypatch.chdir(inner)
+    with pytest.raises(SystemExit) as exc:
+        main(["transcode", "--score", "score.json", "--output", ""])
+    assert exc.value.code == 2
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "inner", "inner/score.json"]
+
+
 def test_eval_hyp_path_that_is_not_utf8_exits_2_and_writes_nothing(tmp_path):
     wav, _ = write_clip_files(tmp_path, utt_id="clip")
     write_json(tmp_path / "ref.json", {"utterances": [{"utt_id": "clip", "audio": str(wav)}]})

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 from singprep.errors import OovError, ParseError
 from singprep.lexicon import (CMU_PHONES, CMU_VOWELS, DEFAULT_INITIALS, ENGLISH, MANDARIN, Lexicon,
-                              LyricToken, default_lexicon, g2p, language_of, segment_lyrics,
-                              split_pinyin, split_words, token_phones)
+                              LyricToken, aligned_phone, default_lexicon, g2p, language_of,
+                              segment_lyrics, split_pinyin, split_words, token_phones)
 from singprep.metrics import tokenize_transcript
 
 PINYIN_GOLDENS = {
@@ -75,6 +75,19 @@ class TestPinyinMapLoading:
         lex = Lexicon()
         with pytest.raises(ParseError):
             lex.load_pinyin_map(io.StringIO("ang\n"))
+
+
+class TestAlignedPhone:
+    def test_drops_empty_and_silence(self):
+        labels = ["", "S", "sil", "AO"]
+        assert [aligned_phone(label) for label in labels] == [None, "S", None, "AO"]
+
+    @pytest.mark.parametrize("label, phone", [
+        (" ", None), (" sp", None), ("SP", None), ("<ap>", None), ("Pau\t", None),
+        ("ao", "AO"), ("AE1", "AE"), ("ae1 ", "AE"), ("AE12", "AE"), ("QQ", "QQ"), ("0", ""),
+    ])
+    def test_reads_whitespace_case_and_stress(self, label, phone):
+        assert aligned_phone(label) == phone
 
 
 class TestUnitGoldens:

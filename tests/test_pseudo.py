@@ -7,8 +7,8 @@ from singprep.dsp.audio import Waveform
 from singprep.dsp.pitch import extract_f0, hz_from_midi
 from singprep.errors import InputError, ValidationError
 from singprep.melody import MelodyBank, MelodyTemplate, choose_melody, load_melody_bank
-from singprep.pseudo import make_pseudo_singing, render_melody
-from singprep.score import PSEUDO_SINGING
+from singprep.pseudo import _speech_phone_events, make_pseudo_singing, render_melody
+from singprep.score import PSEUDO_SINGING, extract_ratios
 from singprep.textgrid import AlignmentTier, Interval
 
 from helpers import SR, speech_clip
@@ -286,3 +286,17 @@ class TestMakePseudoSinging:
         assert rec.audio_path == "x/utt9.wav"
         assert rec.singer_id == "spk1"
         assert rec.voice_part is None
+
+
+@pytest.mark.parametrize("label, phones", [
+    ("sil", ["T", "S"]), ("", ["T", "S"]), (" ", ["T", "S"]), (" sp", ["T", "S"]),
+    ("SP", ["T", "S"]), ("AE1", ["T", "AE", "S"]), ("ae1 ", ["T", "AE", "S"]),
+    ("AE12", ["T", "AE", "S"]),
+])
+def test_pseudo_and_adapt_read_a_phone_tier_alike(label, phones):
+    tier = AlignmentTier("phones", (
+        Interval(0.0, 0.1, "T"), Interval(0.1, 0.2, label), Interval(0.2, 0.3, "S")))
+    words = AlignmentTier("words", (Interval(0.0, 0.3, "tas"),))
+    assert [ph for _, ph, _ in _speech_phone_events(words, tier)] == phones
+    # extract_ratios fills the table only when it reads exactly these phones
+    assert extract_ratios(tier, [("u", phones)]).get("u", phones) is not None

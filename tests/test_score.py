@@ -207,6 +207,18 @@ class TestExtractRatios:
         rt = extract_ratios(tier, [("c", ("T", "S"))])
         assert rt.get("c", ("T", "S")) is None
 
+    @pytest.mark.parametrize("labels, message", [
+        (["T", "Z"], "phone 2 is 'Z', expected 'S'"),
+        (["T"], "phone 2 is None, expected 'S'"),
+        (["T", "S", "AH"], "phone 3 is 'AH', expected None"),
+    ], ids=["same-count", "short", "long"])
+    def test_mismatch_warning_names_the_first_differing_phone(self, labels, message, caplog):
+        tier = AlignmentTier("phones", [Interval(i / 10, (i + 1) / 10, label)
+                                        for i, label in enumerate(["sil", *labels])])
+        with caplog.at_level(logging.WARNING, logger="singprep.score"):
+            extract_ratios(tier, [("c", ("T", "S"))])
+        assert caplog.messages == [f"alignment mismatch on tier 'phones': {message}"]
+
     def test_zero_duration_floored(self):
         tier = AlignmentTier("phones", (
             Interval(0.0, 0.0004, "T"), Interval(0.0004, 0.2, "S"),

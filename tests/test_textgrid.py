@@ -264,13 +264,15 @@ class TestTierValidation:
         with pytest.raises(ParseError):
             AlignmentTier("t", [Interval(0.0, 0.6, "a"), Interval(0.5, 1.0, "b")])
 
-    def test_labelled_drops_empty_and_silence(self):
-        tier = AlignmentTier("t", [
-            Interval(0.0, 0.1, ""), Interval(0.1, 0.2, "S"),
-            Interval(0.2, 0.3, "sil"), Interval(0.3, 0.4, "AO"),
-        ])
-        assert [iv.label for iv in tier.labelled()] == ["S", "sil", "AO"]
-        assert [iv.label for iv in tier.labelled(frozenset({"sil"}))] == ["S", "AO"]
+    @pytest.mark.parametrize("times, message", [
+        ("0.9\n0.7", "interval 2 has xmin 0.9 >= xmax 0.7"),
+        ("0.9\n0.9", "interval 2 has xmin 0.9 >= xmax 0.9"),
+        ("0.8\n1.5", "interval 2 starts at 0.8, before interval 1 ends at 0.9"),
+    ], ids=["reversed", "zero-length", "overlapping"])
+    def test_order_error_names_the_interval(self, times, message):
+        text = SHORT_FORM.replace('0.9\n1.5\n"NG"', times + '\n"NG"')
+        with pytest.raises(ParseError, match=re.escape(f"tier 'phones': {message}")):
+            parse_textgrid(text)
 
     def test_xmin_xmax(self):
         tier = AlignmentTier("t", [Interval(0.2, 0.5, "a"), Interval(0.5, 0.9, "b")])
