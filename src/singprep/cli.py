@@ -214,36 +214,34 @@ def cmd_transcode(args, cfg: PipelineConfig) -> int:
 # -- adapt --------------------------------------------------------------------
 
 def _expected_units(record: AnnotationRecord, lexicon: Lexicon):
-    expected = []
-    for ev in record.events:
-        if ev.is_rest() or ev.is_slur:
-            continue
-        try:
-            expansion = lexicon.expand_unit(ev.phoneme)
-        except InputError:
-            expansion = (ev.phoneme,)
-        expected.append((ev.phoneme, expansion))
-    return expected
+    """(unit, expansion) for each event to split, in order; OovError on an unknown unit."""
+    return [(ev.phoneme, lexicon.expand_unit(ev.phoneme))
+            for ev in record.events if not (ev.is_rest() or ev.is_slur)]
 
 
 def _corpus_ratios(records, alignment_dir, lexicon: Lexicon) -> RatioTable:
+    """The mean of the ratios each record's TextGrid yields. Every record's
+    units are expanded before any TextGrid is read, so an unknown unit fails
+    first; InputError if some record has a unit to split and no ratio is found."""
     from .score import RatioTable, extract_ratios
     from .textgrid import read_textgrid
 
+    expected = [(record.utterance_id, _expected_units(record, lexicon)) for record in records]
     tables = []
-    for record in records:
-        tg_path = Path(alignment_dir) / f"{record.utterance_id}.TextGrid"
+    for utt_id, units in expected:
+        tg_path = Path(alignment_dir) / f"{utt_id}.TextGrid"
         if not tg_path.exists():
-            log.warning("no alignment for %s, skipping", record.utterance_id)
+            log.warning("no alignment for %s, skipping", utt_id)
             continue
         phone_tier = _tier(read_textgrid(tg_path), "phone")
         if phone_tier is None:
             log.warning("%s: no phone tier", tg_path)
             continue
-        tables.append(extract_ratios(phone_tier, _expected_units(record, lexicon)))
-    if not tables:
+        tables.append(extract_ratios(phone_tier, units))
+    ratios = RatioTable.average(tables)
+    if not ratios and any(units for _, units in expected):
         raise InputError(f"{alignment_dir}: no usable alignments found")
-    return RatioTable.average(tables)
+    return ratios
 
 
 def cmd_adapt(args, cfg: PipelineConfig) -> int:
@@ -532,14 +530,8 @@ def main(argv=None) -> int:
         stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s"
     )
     args = build_parser().parse_args(argv)
-    overrides = {
-        "seed": getattr(args, "seed", None),
-        "workers": getattr(args, "workers", None),
-        "strategy": getattr(args, "strategy", None),
-        "melody_bank": getattr(args, "melody_bank", None),
-    }
     try:
-        cfg = resolve_config(getattr(args, "config", None), overrides)
+        cfg = resolve_config(args.config, vars(args))
         return args.func(args, cfg)
     except ValidationError as exc:
         for failure in exc.failures:

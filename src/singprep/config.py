@@ -65,14 +65,11 @@ def load_config_file(path) -> dict:
     return doc
 
 
-def resolve_config(file_path=None, overrides: dict | None = None) -> PipelineConfig:
-    """Merge defaults, an optional config file, and explicit CLI overrides."""
-    settings: dict = {}
-    if file_path is not None:
-        settings.update(load_config_file(file_path))
-    for key, value in (overrides or {}).items():
-        if key not in _FIELD_NAMES:
-            raise InputError(f"unknown config override {key!r}")
-        if value is not None:
-            settings[key] = value
+def resolve_config(file_path, args: dict) -> PipelineConfig:
+    """Defaults, then the config file at file_path if it is not None, then
+    each field's value in args (the parsed command line) if it is not None."""
+    settings = load_config_file(file_path) if file_path is not None else {}
+    for name in _FIELD_NAMES:
+        if args.get(name) is not None:
+            settings[name] = args[name]
     return PipelineConfig(**settings)

@@ -192,17 +192,16 @@ def dtw_align(a: McepFrames, b: McepFrames) -> list[tuple[int, int]]:
 
 def mcd_from_frames(a: McepFrames, b: McepFrames, path: list[tuple[int, int]]) -> float:
     """Mean mel-cepstral distortion in dB over an alignment path."""
-    idx_a = np.fromiter((p[0] for p in path), int, len(path))
-    idx_b = np.fromiter((p[1] for p in path), int, len(path))
-    diff = a.frames[idx_a] - b.frames[idx_b]
+    ia, ib = np.asarray(path).T
+    diff = a.frames[ia] - b.frames[ib]
     return float(np.mean(_MCD_ALPHA * np.sqrt(2.0 * np.sum(diff * diff, axis=1))))
 
 
 def _co_voiced(
     ref: F0Contour, hyp: F0Contour, path: list[tuple[int, int]]
 ) -> tuple[np.ndarray, np.ndarray]:
-    rv = np.array([ref.values[i] for i, _ in path])
-    hv = np.array([hyp.values[j] for _, j in path])
+    ia, ib = np.asarray(path).T
+    rv, hv = ref.values[ia], hyp.values[ib]
     mask = (rv > 0) & (hv > 0)
     return rv[mask], hv[mask]
 
@@ -221,7 +220,8 @@ def f0_rmse(ref: F0Contour, hyp: F0Contour, path: list[tuple[int, int]]) -> floa
 
 def vuv_error(ref: F0Contour, hyp: F0Contour, path: list[tuple[int, int]]) -> float:
     """Fraction of aligned pairs whose voicing decisions disagree."""
-    mism = sum(1 for i, j in path if (ref.values[i] > 0) != (hyp.values[j] > 0))
+    ia, ib = np.asarray(path).T
+    mism = int(np.count_nonzero((ref.values[ia] > 0) != (hyp.values[ib] > 0)))
     return mism / len(path)
 
 
@@ -232,7 +232,7 @@ def semitone_accuracy(
     rv, hv = _co_voiced(ref, hyp, path)
     if rv.size == 0:
         return None
-    hits = sum(1 for r, h in zip(rv, hv) if nearest_midi(r) == nearest_midi(h))
+    hits = sum(1 for r, h in zip(rv.tolist(), hv.tolist()) if nearest_midi(r) == nearest_midi(h))
     return hits / rv.size
 
 

@@ -154,15 +154,26 @@ class RatioTable:
     A unit with no ratio, or one learned for another expansion, answers None;
     the consumer then does an equal split. ``misses`` counts, per unit as
     written, the events that adaptation split equally for want of a ratio.
+    ``load`` is the one reader of a saved table, and ``set`` checks every
+    entry, whether read or learned.
     """
 
     def __init__(self):
         self._weights: dict[str, tuple[tuple[str, ...], tuple[float, ...]]] = {}
         self.misses: Counter[str] = Counter()
 
+    def __len__(self) -> int:
+        """The number of units with a ratio."""
+        return len(self._weights)
+
     def set(self, unit: str, expansion: Sequence[str], weights: Sequence[float]) -> None:
-        expansion = tuple(expansion)
-        weights = tuple(float(w) for w in weights)
+        if not (isinstance(expansion, (list, tuple))
+                and all(isinstance(p, str) for p in expansion)):
+            raise InputError(f"phones must be a list of strings, got {expansion!r}")
+        if not (isinstance(weights, (list, tuple))
+                and all(isinstance(w, (int, float)) and not isinstance(w, bool) for w in weights)):
+            raise InputError(f"weights must be a list of numbers, got {weights!r}")
+        expansion, weights = tuple(expansion), tuple(weights)
         if len(weights) != len(expansion):
             raise InputError(f"{len(weights)} weights for {len(expansion)} phones")
         if not all(math.isfinite(w) and w > 0 for w in weights):
@@ -205,27 +216,21 @@ class RatioTable:
         }
 
     @classmethod
-    def from_dict(cls, doc) -> "RatioTable":
-        """A table from its document: {unit: {"phones": [...], "weights": [...]}}."""
+    def load(cls, path) -> "RatioTable":
+        """A table from its file: {unit: {"phones": [...], "weights": [...]}}."""
+        doc = read_json(path)
         if not isinstance(doc, dict):
-            raise ParseError(f"ratio table must be an object of units, got {type(doc).__name__}")
+            raise ParseError(f"{path}: ratio table must be an object of units, "
+                             f"got {type(doc).__name__}")
         table = cls()
         for unit, entry in doc.items():
             try:
                 table.set(unit, entry["phones"], entry["weights"])
             except KeyError as exc:
-                raise ParseError(f"ratio table unit {unit!r}: missing {exc}") from None
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"ratio table unit {unit!r}: {exc}") from None
+                raise ParseError(f"{path}: ratio table unit {unit!r}: missing {exc}") from None
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ParseError(f"{path}: ratio table unit {unit!r}: {exc}") from None
         return table
-
-    @classmethod
-    def load(cls, path) -> "RatioTable":
-        doc = read_json(path)
-        try:
-            return cls.from_dict(doc)
-        except ParseError as exc:
-            raise ParseError(f"{path}: {exc}") from None
 
 
 def _expansion_weights(

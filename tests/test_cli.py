@@ -38,6 +38,11 @@ CUN_PHONES = AlignmentTier("phones", [
     Interval(0.5, 0.7, "UW"), Interval(0.7, 0.9, "AH"),
     Interval(0.9, 1.1, "N"),
 ])
+CUN_MISMATCHED = AlignmentTier("phones", [
+    Interval(0.0, 0.1, "T"), Interval(0.1, 0.5, "S"),
+    Interval(0.5, 0.7, "AA"), Interval(0.7, 0.9, "AH"),
+    Interval(0.9, 1.1, "N"),
+])
 
 
 def cun_manifest(path):
@@ -358,6 +363,68 @@ class TestAdapt:
                      "--alignment-dir", str(align_dir)]) == 2
         assert (f"{align_dir / 'cun.TextGrid'}: TextGrid: tier 'phones' interval 2 xmax "
                 "must be finite, got nan") in caplog.text
+
+    def adapt_with_alignments(self, tmp_path, grids, records=None):
+        """adapt --alignment-dir on records (default: the cun record once per
+        grid), with grids {utt_id: tiers} written to the directory; returns
+        (exit code, the directory, the adapted records or None)."""
+        record = json.loads(Path(cun_manifest(tmp_path / "in.json")).read_text())["records"][0]
+        manifest = write_json(tmp_path / "m.json", {"records": records or [
+            {**record, "utt_id": utt_id} for utt_id in grids]})
+        align_dir = tmp_path / "align"
+        align_dir.mkdir()
+        for utt_id, tiers in grids.items():
+            write_textgrid(tiers, align_dir / f"{utt_id}.TextGrid")
+        out = tmp_path / "out.json"
+        code = main(["adapt", "--input", manifest, "--strategy", "proportional",
+                     "--alignment-dir", str(align_dir), "--output", str(out)])
+        adapted = json.loads(out.read_text(encoding="utf-8"))["records"] if code == 0 else None
+        return code, align_dir, adapted
+
+    def test_every_alignment_mismatching_fails(self, tmp_path, caplog):
+        code, align_dir, _ = self.adapt_with_alignments(
+            tmp_path, {"cun": [CUN_MISMATCHED], "cun2": [CUN_MISMATCHED]})
+        assert code == 2
+        assert f"{align_dir}: no usable alignments found" in caplog.text
+
+    def test_one_matching_alignment_gives_the_ratios(self, tmp_path):
+        code, _, adapted = self.adapt_with_alignments(
+            tmp_path, {"cun": [CUN_PHONES], "cun2": [CUN_MISMATCHED]})
+        assert code == 0
+        for rec in adapted:
+            self.check_proportional(rec)
+
+    def test_alignment_without_phone_tier_is_skipped(self, tmp_path, caplog):
+        words = AlignmentTier("words", [Interval(0.0, 1.1, "cun")])
+        code, align_dir, adapted = self.adapt_with_alignments(
+            tmp_path, {"cun": [CUN_PHONES], "cun2": [words]})
+        assert code == 0
+        assert f"{align_dir / 'cun2.TextGrid'}: no phone tier" in caplog.text
+        for rec in adapted:
+            self.check_proportional(rec)
+
+    def test_directory_without_alignments_fails(self, tmp_path, caplog):
+        record = json.loads(Path(cun_manifest(tmp_path / "in.json")).read_text())["records"][0]
+        code, align_dir, _ = self.adapt_with_alignments(tmp_path, {}, [record])
+        assert code == 2
+        assert f"{align_dir}: no usable alignments found" in caplog.text
+
+    def test_manifest_without_units_needs_no_alignments(self, tmp_path):
+        rest = {"utt_id": "rest", "audio": "rest.wav", "singer": "", "voice_part": None,
+                "phs": ["SP"], "is_slur": [0], "ph_dur": [0.5], "notes": [0],
+                "notes_dur": [0.5], "lang": [1], "style": [1]}
+        code, _, adapted = self.adapt_with_alignments(tmp_path, {}, [rest])
+        assert code == 0
+        assert adapted[0]["phs"] == ["SP"] and adapted[0]["ph_dur"] == [0.5]
+
+    def test_out_of_vocabulary_unit_fails_before_reading_alignments(self, tmp_path, caplog):
+        record = json.loads(Path(cun_manifest(tmp_path / "in.json")).read_text())["records"][0]
+        bad = {**record, "utt_id": "bad", "phs": ["c", "qq", "qq"]}
+        code, _, _ = self.adapt_with_alignments(
+            tmp_path, {"cun": [CUN_PHONES], "bad": [CUN_PHONES]}, [record, bad])
+        assert code == 2
+        logged = [(r.levelname, r.getMessage()) for r in caplog.records]
+        assert logged == [("ERROR", "out-of-vocabulary Mandarin token: 'qq'")]
 
     def test_proportional_needs_a_ratio_source(self, tmp_path):
         manifest = cun_manifest(tmp_path / "in.json")
@@ -1221,6 +1288,16 @@ def test_malformed_input_exits_2(tmp_path, files, argv):
                  _PLAN, "src.json: entry 0", id="plan-svc-unknown-voice-part"),
     pytest.param({"r.json": '{"c": {"phones": ["T", "S"], "weights": [0.0, 1.0]}}'}, _RATIOS,
                  "r.json: ratio table unit 'c'", id="ratios-zero-weight"),
+    pytest.param({"r.json": '{"c": {"phones": ["T", "S"], "weights": ["0.25", "0.75"]}}'},
+                 _RATIOS, "r.json: ratio table unit 'c'", id="ratios-string-weights"),
+    pytest.param({"r.json": '{"c": {"phones": ["T"], "weights": [true]}}'}, _RATIOS,
+                 "r.json: ratio table unit 'c'", id="ratios-true-weight"),
+    pytest.param({"r.json": '{"an": {"phones": "AN", "weights": [0.5, 0.5]}}'}, _RATIOS,
+                 "r.json: ratio table unit 'an'", id="ratios-phones-a-string"),
+    pytest.param({"r.json": '{"c": {"phones": ["T", 5], "weights": [0.5, 0.5]}}'}, _RATIOS,
+                 "r.json: ratio table unit 'c'", id="ratios-phone-not-a-string"),
+    pytest.param({"r.json": '{"c": {"phones": ["T"], "weights": [1%s]}}' % ("0" * 400)},
+                 _RATIOS, "r.json: ratio table unit 'c'", id="ratios-weight-integer-too-large"),
     pytest.param({"m.json": _record_doc().replace('"u"', '"u\\ud800"', 1)}, _ADAPT_M,
                  "m.json: invalid JSON", id="adapt-utt-id-lone-surrogate"),
     pytest.param({"src.json": _SOURCES, "tgt.json": _TARGETS.replace('"t1"', '"\\udce9"')},

@@ -12,7 +12,10 @@ A change that alters an output on purpose re-records tests/golden.json with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and lists each changed digest, with its reason, in CHANGES.md.
+Before it rewrites the file, that command prints a `changed:` line for each
+place where the new run differs from the recorded one: an exit code, a digest
+or a report value. The change lists each of them, with its reason, in
+CHANGES.md.
 """
 
 from __future__ import annotations
@@ -223,19 +226,23 @@ def run_case(name: str, inputs: Path, out: Path) -> dict:
             "files": {path: _sha256(data) for path, data in files.items()}}
 
 
-def _assert_close(got, want, where="report"):
+def mismatches(got, want, where: str):
+    """Each place, as a path below where, at which got differs from want:
+    floats within 1e-12, everything else exactly."""
     if isinstance(want, float) and isinstance(got, float):
-        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12), (where, got, want)
+        if not math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12):
+            yield where
     elif isinstance(want, dict) and isinstance(got, dict):
-        assert sorted(got) == sorted(want), where
-        for key in want:
-            _assert_close(got[key], want[key], f"{where}.{key}")
-    elif isinstance(want, list) and isinstance(got, list):
-        assert len(got) == len(want), where
+        for key in sorted(set(got) | set(want)):
+            if key in got and key in want:
+                yield from mismatches(got[key], want[key], f"{where}/{key}")
+            else:
+                yield f"{where}/{key}"
+    elif isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
         for i, (g, w) in enumerate(zip(got, want)):
-            _assert_close(g, w, f"{where}[{i}]")
-    else:
-        assert got == want, (where, got, want)
+            yield from mismatches(g, w, f"{where}[{i}]")
+    elif got != want:
+        yield where
 
 
 @pytest.fixture(scope="module")
@@ -247,11 +254,7 @@ def inputs(tmp_path_factory):
 def test_output_matches_golden(name, inputs, tmp_path):
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
     got = run_case(name, inputs, tmp_path / "out")
-    if name == "eval":
-        report = got.pop("report")
-        _assert_close(report, want["report"])
-        want = {k: v for k, v in want.items() if k != "report"}
-    assert got == want
+    assert list(mismatches(got, want, name)) == []
 
 
 def test_golden_covers_every_case():
@@ -259,10 +262,14 @@ def test_golden_covers_every_case():
 
 
 if __name__ == "__main__":
+    recorded = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         built = build_inputs(root / "in")
         golden = {name: run_case(name, built, root / name) for name in sorted(CASES)}
+    for name in sorted(set(golden) | set(recorded)):
+        for where in mismatches(golden.get(name), recorded.get(name), name):
+            print(f"changed: {where}")
     GOLDEN.write_text(json.dumps(golden, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
                       encoding="utf-8")
     print(f"recorded {len(golden)} cases in {GOLDEN}")
