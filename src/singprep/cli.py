@@ -378,16 +378,15 @@ def cmd_plan_svc(args, cfg: PipelineConfig) -> int:
                 if not isinstance(entry[key], str) or not entry[key]:
                     raise InputError(f"{path}: entry {i}: {key} must be a nonempty string, "
                                      f"got {entry[key]!r}")
+            if entry["voice_part"] is None:
+                raise InputError(f"{path}: entry {i}: voice part must be a string, got None")
             try:
                 entry["voice_part"] = normalize_voice_part(entry["voice_part"])
             except ValidationError as exc:
                 raise ValidationError(f"{path}: entry {i}: {f}" for f in exc.failures) from None
-    jobs = build_job_manifest(
-        [(e["utt_id"], e["audio"], e["voice_part"]) for e in src_entries],
-        [(e["singer"], e["voice_part"]) for e in tgt_entries],
-    )
+    jobs = build_job_manifest(src_entries, tgt_entries)
     log.info("%d sources x %d targets -> %d jobs", len(src_entries), len(tgt_entries), len(jobs))
-    write_output(dumps_document({"jobs": [j.to_document() for j in jobs]}), args.output)
+    write_output(dumps_document({"jobs": jobs}), args.output)
     return EXIT_OK
 
 

@@ -26,8 +26,9 @@ class MelodyTemplate:
     steps: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        if not self.template_id:
-            raise InputError("melody template id must be nonempty")
+        if not isinstance(self.template_id, str) or not self.template_id:
+            raise InputError("melody template id must be a nonempty string, "
+                             f"got {self.template_id!r}")
         if not self.steps:
             raise InputError(f"melody {self.template_id!r}: steps must be nonempty")
         total = 0.0
@@ -101,7 +102,7 @@ def _template(entry: dict) -> MelodyTemplate:
             raise ParseError(f"melody {entry['id']!r}: step length {step[1]!r} "
                              "is not a number")
         steps.append((step[0], float(step[1])))
-    return MelodyTemplate(str(entry["id"]), tuple(steps))
+    return MelodyTemplate(entry["id"], tuple(steps))
 
 
 def choose_melody(bank: MelodyBank, seed: int) -> MelodyTemplate:

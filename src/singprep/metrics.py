@@ -263,7 +263,8 @@ def cosine_sim(a, b) -> float:
     na, nb = float(np.linalg.norm(av)), float(np.linalg.norm(bv))
     if na == 0.0 or nb == 0.0:
         raise InputError("cosine similarity is undefined for a zero vector")
-    return float(np.dot(av, bv) / (na * nb))
+    # rounding can put the quotient of parallel vectors just outside [-1, 1]
+    return float(np.clip(np.dot(av, bv) / (na * nb), -1.0, 1.0))
 
 
 def read_embedding(path) -> np.ndarray:

@@ -223,7 +223,11 @@ class RatioTable:
             raise ParseError(f"{path}: ratio table must be an object of units, "
                              f"got {type(doc).__name__}")
         table = cls()
+        firsts: dict[str, str] = {}
         for unit, entry in doc.items():
+            first = firsts.setdefault(unit.lower(), unit)
+            if first != unit:
+                raise ParseError(f"{path}: ratio table unit {unit!r}: repeats unit {first!r}")
             try:
                 table.set(unit, entry["phones"], entry["weights"])
             except KeyError as exc:

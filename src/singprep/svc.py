@@ -8,10 +8,7 @@ verbatim rather than computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .annotation import VOICE_PARTS, normalize_voice_part
-from .errors import InputError
 
 # rows: source part; columns: target part; both in VOICE_PARTS order
 # (Bass, Baritone, Tenor, Alto, Soprano); values in semitones.
@@ -37,52 +34,11 @@ def plan_conversion(source_part: str, target_part: str) -> int:
     return PITCH_SHIFT_TABLE[(src, tgt)]
 
 
-@dataclass(frozen=True)
-class ConversionJob:
-    source_utterance: str
-    source_audio: str
-    source_part: str
-    target_singer: str
-    target_part: str
-    semitones: int
-
-    def to_document(self) -> dict:
-        return {
-            "source_utt": self.source_utterance,
-            "source_audio": self.source_audio,
-            "source_part": self.source_part,
-            "target_singer": self.target_singer,
-            "target_part": self.target_part,
-            "pitch_shift_semitones": self.semitones,
-        }
-
-
-def build_job_manifest(
-    sources: list[tuple[str, str, str]],
-    targets: list[tuple[str, str]],
-) -> list[ConversionJob]:
-    """Cartesian product of sources x target singers.
-
-    sources: (utterance id, audio path, voice part) triples;
-    targets: (singer id, voice part) pairs. Unknown parts raise.
-    """
-    jobs: list[ConversionJob] = []
-    for utt_id, audio, src_part in sources:
-        src = normalize_voice_part(src_part)
-        if src is None:
-            raise InputError(f"source {utt_id!r} has no voice part")
-        for singer, tgt_part in targets:
-            tgt = normalize_voice_part(tgt_part)
-            if tgt is None:
-                raise InputError(f"target singer {singer!r} has no voice part")
-            jobs.append(
-                ConversionJob(
-                    source_utterance=utt_id,
-                    source_audio=audio,
-                    source_part=src,
-                    target_singer=singer,
-                    target_part=tgt,
-                    semitones=PITCH_SHIFT_TABLE[(src, tgt)],
-                )
-            )
-    return jobs
+def build_job_manifest(sources: list[dict], targets: list[dict]) -> list[dict]:
+    """One job document per (source, target) pair, sources outermost. Entries
+    hold utt_id and audio, or singer, and a voice_part already in VOICE_PARTS."""
+    return [{"source_utt": src["utt_id"], "source_audio": src["audio"],
+             "source_part": src["voice_part"], "target_singer": tgt["singer"],
+             "target_part": tgt["voice_part"],
+             "pitch_shift_semitones": PITCH_SHIFT_TABLE[(src["voice_part"], tgt["voice_part"])]}
+            for src in sources for tgt in targets]

@@ -715,7 +715,8 @@ class TestPlanSvc:
         assert main(["plan-svc", "--sources", sources, "--targets", targets,
                      "--output", str(out)]) == 0
         jobs = json.loads(out.read_text())["jobs"]
-        assert jobs[0]["pitch_shift_semitones"] == -8  # Soprano -> Baritone
+        assert (jobs[0]["source_part"], jobs[0]["target_part"]) == ("Soprano", "Baritone")
+        assert jobs[0]["pitch_shift_semitones"] == -8
 
     def test_unknown_voice_part_fails(self, tmp_path):
         sources = write_json(tmp_path / "sources.json", {"sources": [
@@ -758,6 +759,14 @@ class TestEval:
         assert row["wer"] == 0.0
         assert row["sim"] == pytest.approx(1.0)
         assert doc["aggregate"]["mcd_db"] == 0.0
+
+    def test_identical_embeddings_score_one(self, eval_pair_files):
+        ref, hyp, tmp_path = eval_pair_files
+        # its cosine with itself rounds to 1.0000000000000002 before clamping
+        (tmp_path / "emb.txt").write_text("0.1\n0.7\n")
+        out = tmp_path / "report.json"
+        assert main(["eval", "--ref", ref, "--hyp", hyp, "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["per_utterance"]["clip"]["sim"] == 1.0
 
     def test_table_output(self, eval_pair_files, capsys):
         ref, hyp, _ = eval_pair_files
@@ -1286,8 +1295,19 @@ def test_malformed_input_exits_2(tmp_path, files, argv):
                  "l.txt: out-of-vocabulary English token", id="g2p-input-out-of-vocabulary"),
     pytest.param({"src.json": _SOURCES.replace('"Bass"', '"Bassoon"'), "tgt.json": _TARGETS},
                  _PLAN, "src.json: entry 0", id="plan-svc-unknown-voice-part"),
+    pytest.param({"src.json": _SOURCES.replace('"Bass"', "null"), "tgt.json": _TARGETS},
+                 _PLAN, "src.json: entry 0", id="plan-svc-source-voice-part-null"),
+    pytest.param({"src.json": '{"sources": []}', "tgt.json": _TARGETS.replace('"Tenor"', "null")},
+                 _PLAN, "tgt.json: entry 0", id="plan-svc-target-voice-part-null"),
+    pytest.param({"m.json": _PSEUDO_MANIFEST, "b.json": _BANK.replace('"low"', "null")},
+                 _PSEUDO_BANK, "b.json", id="melody-id-null"),
+    pytest.param({"m.json": _PSEUDO_MANIFEST, "b.json": _BANK.replace('"low"', "7")},
+                 _PSEUDO_BANK, "b.json", id="melody-id-number"),
     pytest.param({"r.json": '{"c": {"phones": ["T", "S"], "weights": [0.0, 1.0]}}'}, _RATIOS,
                  "r.json: ratio table unit 'c'", id="ratios-zero-weight"),
+    pytest.param({"r.json": '{"c": {"phones": ["T", "S"], "weights": [0.9, 0.1]}, '
+                            '"C": {"phones": ["T", "S"], "weights": [0.1, 0.9]}}'}, _RATIOS,
+                 "r.json: ratio table unit 'C'", id="ratios-unit-repeated-in-another-case"),
     pytest.param({"r.json": '{"c": {"phones": ["T", "S"], "weights": ["0.25", "0.75"]}}'},
                  _RATIOS, "r.json: ratio table unit 'c'", id="ratios-string-weights"),
     pytest.param({"r.json": '{"c": {"phones": ["T"], "weights": [true]}}'}, _RATIOS,

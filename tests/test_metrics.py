@@ -333,6 +333,12 @@ class TestCosineSim:
         v = np.array([1.0, -2.0])
         assert cosine_sim(v, -v) == pytest.approx(-1.0)
 
+    def test_parallel_vectors_stay_inside_the_range(self):
+        # the unclamped quotient is 1.0000000000000002 and -1.0000000000000002
+        v = np.array([0.1, 0.7])
+        assert cosine_sim(v, v) == 1.0
+        assert cosine_sim(v, -v) == -1.0
+
     def test_zero_vector_rejected(self):
         with pytest.raises(InputError):
             cosine_sim(np.zeros(3), np.ones(3))

@@ -5,7 +5,7 @@ import pytest
 from singprep.annotation import VOICE_PARTS
 from singprep.errors import ValidationError
 from singprep.jsonio import dumps_document
-from singprep.svc import ConversionJob, build_job_manifest, plan_conversion
+from singprep.svc import build_job_manifest, plan_conversion
 
 # From: Bass, Baritone, Tenor, Alto, Soprano; To: the same order.
 EXPECTED_MATRIX = {
@@ -47,47 +47,51 @@ class TestPlanConversion:
             plan_conversion("Bass", "Countertenor")
 
 
+def _sources(*parts):
+    return [{"utt_id": f"u{i}", "audio": f"u{i}.wav", "voice_part": p}
+            for i, p in enumerate(parts, 1)]
+
+
 class TestBuildJobManifest:
     def test_tenor_source_two_targets(self):
         jobs = build_job_manifest(
-            [("u1", "u1.wav", "Tenor")],
-            [("singerA", "Alto"), ("singerB", "Bass")],
+            _sources("Tenor"),
+            [{"singer": "singerA", "voice_part": "Alto"},
+             {"singer": "singerB", "voice_part": "Bass"}],
         )
-        by_target = {j.target_singer: j.semitones for j in jobs}
+        by_target = {j["target_singer"]: j["pitch_shift_semitones"] for j in jobs}
         assert by_target == {"singerA": 4, "singerB": -8}
 
     def test_empty_targets(self):
-        assert build_job_manifest([("u1", "u1.wav", "Tenor")], []) == []
+        assert build_job_manifest(_sources("Tenor"), []) == []
 
     def test_cartesian_cardinality(self):
-        sources = [(f"u{i}", f"u{i}.wav", "Tenor") for i in range(12)]
-        targets = [(f"s{i}", VOICE_PARTS[i % 5]) for i in range(20)]
+        sources = _sources(*["Tenor"] * 12)
+        targets = [{"singer": f"s{i}", "voice_part": VOICE_PARTS[i % 5]} for i in range(20)]
         jobs = build_job_manifest(sources, targets)
         assert len(jobs) == 240
-        assert len({(j.source_utterance, j.target_singer) for j in jobs}) == 240
+        assert len({(j["source_utt"], j["target_singer"]) for j in jobs}) == 240
+        assert [j["source_utt"] for j in jobs[:21]] == ["u1"] * 20 + ["u2"]
 
     def test_job_fields(self):
-        job = build_job_manifest([("u1", "x/u1.wav", "Bass")], [("t", "Soprano")])[0]
-        assert job == ConversionJob("u1", "x/u1.wav", "Bass", "t", "Soprano", 12)
+        job = build_job_manifest([{"utt_id": "u1", "audio": "x/u1.wav", "voice_part": "Bass"}],
+                                 [{"singer": "t", "voice_part": "Soprano"}])[0]
+        assert list(job.items()) == [
+            ("source_utt", "u1"), ("source_audio", "x/u1.wav"), ("source_part", "Bass"),
+            ("target_singer", "t"), ("target_part", "Soprano"), ("pitch_shift_semitones", 12),
+        ]
 
     def test_semitones_match_plan(self):
-        jobs = build_job_manifest(
-            [("u1", "u1.wav", "Alto")],
-            [(p, p) for p in VOICE_PARTS],
-        )
+        jobs = build_job_manifest(_sources("Alto"),
+                                  [{"singer": p, "voice_part": p} for p in VOICE_PARTS])
         for job in jobs:
-            assert job.semitones == plan_conversion("Alto", job.target_part)
-
-    def test_alias_parts_normalized(self):
-        job = build_job_manifest([("u1", "u1.wav", "B2")], [("t", "S")])[0]
-        assert (job.source_part, job.target_part) == ("Baritone", "Soprano")
-        assert job.semitones == 8
+            assert job["pitch_shift_semitones"] == plan_conversion("Alto", job["target_part"])
 
 
 class TestWriteJobManifest:
     def test_written_document_shape(self):
-        jobs = build_job_manifest([("u1", "u1.wav", "Bass")], [("t1", "Tenor")])
-        doc = json.loads(dumps_document({"jobs": [j.to_document() for j in jobs]}))
+        jobs = build_job_manifest(_sources("Bass"), [{"singer": "t1", "voice_part": "Tenor"}])
+        doc = json.loads(dumps_document({"jobs": jobs}))
         assert doc["jobs"] == [{
             "source_utt": "u1",
             "source_audio": "u1.wav",
@@ -98,5 +102,5 @@ class TestWriteJobManifest:
         }]
 
     def test_empty_manifest(self):
-        jobs = build_job_manifest([], [("t1", "Tenor")])
-        assert json.loads(dumps_document({"jobs": [j.to_document() for j in jobs]})) == {"jobs": []}
+        jobs = build_job_manifest([], [{"singer": "t1", "voice_part": "Tenor"}])
+        assert json.loads(dumps_document({"jobs": jobs})) == {"jobs": []}
