@@ -31,9 +31,7 @@ _ARRAYS = ("phs", "is_slur", "ph_dur", "notes", "notes_dur", "lang", "style")
 _FIELDS = ("utt_id", "audio", "singer", "voice_part", *_ARRAYS)
 
 
-def normalize_voice_part(part: str | None) -> str | None:
-    if part is None:
-        return None
+def normalize_voice_part(part: str) -> str:
     if not isinstance(part, str):
         raise ValidationError([f"voice part must be a string, got {part!r}"])
     if part in VOICE_PARTS:

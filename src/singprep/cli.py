@@ -26,13 +26,12 @@ from . import __version__
 from .config import STRATEGIES, PipelineConfig, resolve_config
 from .errors import InputError, ParseError, ValidationError
 from .jsonio import dumps_document, list_entries, read_json, read_text, write_output
-from .lexicon import (ENGLISH, MANDARIN, Lexicon, LyricToken, default_lexicon, g2p,
-                      language_of, segment_lyrics)
+from .lexicon import Lexicon, default_lexicon, g2p, segment_lyrics
 from .melody import choose_melody, load_melody_bank
 
 if TYPE_CHECKING:  # names for annotations; the commands import what they run
     from .annotation import AnnotationRecord
-    from .score import RatioTable, ScoreEvent
+    from .score import RatioTable
 
 log = logging.getLogger("singprep")
 
@@ -40,8 +39,6 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 INPUT_ERRORS = (InputError, OSError, UnicodeDecodeError)  # bad input: exit 2, or one item fails
-
-_LANGUAGES = {"cn": MANDARIN, "en": ENGLISH}  # score-event "lang" codes
 
 
 def derive_seed(seed: int, utt_id: str) -> int:
@@ -167,44 +164,13 @@ def cmd_g2p(args, cfg: PipelineConfig) -> int:
 
 # -- transcode ----------------------------------------------------------------
 
-def _score_events(path) -> list[ScoreEvent]:
-    from .score import ScoreEvent
-
-    entries = _read_entries(path, "events", ("note", "dur"))
-    events = []
-    for i, entry in enumerate(entries):
-        lyric = entry.get("lyric")
-        if not isinstance(lyric, (str, type(None))):
-            raise InputError(f"{path}: event {i} lyric must be a string, got {lyric!r}")
-        slur = entry.get("slur", False)
-        if not isinstance(slur, bool):
-            raise InputError(f"{path}: event {i}: slur must be true or false, got {slur!r}")
-        if lyric in (None, ""):
-            if not slur:
-                raise InputError(f"{path}: event {i} has no lyric and is not a slur")
-            token = None
-        else:
-            lang = entry.get("lang")
-            if lang not in (None, *_LANGUAGES):
-                raise InputError(f"{path}: event {i} has unknown lang {lang!r}")
-            token = LyricToken(lyric, language_of(lyric) if lang is None else _LANGUAGES[lang])
-        for key in ("note", "dur"):
-            if isinstance(entry[key], bool) or not isinstance(entry[key], (int, float)):
-                raise InputError(f"{path}: event {i}: {key} must be a number, got {entry[key]!r}")
-        try:
-            events.append(ScoreEvent(token, int(entry["note"]), float(entry["dur"]), slur))
-        except (OverflowError, ValueError) as exc:
-            raise InputError(f"{path}: event {i}: {exc}") from None
-    return events
-
-
 def cmd_transcode(args, cfg: PipelineConfig) -> int:
     from .score import transform_score
 
     lexicon = default_lexicon(cfg.cmu_dict, cfg.pinyin_map, cfg.hanzi_table)
-    events = _score_events(args.score)
+    rows = _read_entries(args.score, "events", ("note", "dur"))
     try:
-        result = transform_score(events, lexicon)
+        result = transform_score(rows, lexicon)
     except InputError as exc:
         raise InputError(f"{args.score}: {exc}") from None
     write_output(dumps_document(result.to_dict()), args.output)
@@ -378,8 +344,6 @@ def cmd_plan_svc(args, cfg: PipelineConfig) -> int:
                 if not isinstance(entry[key], str) or not entry[key]:
                     raise InputError(f"{path}: entry {i}: {key} must be a nonempty string, "
                                      f"got {entry[key]!r}")
-            if entry["voice_part"] is None:
-                raise InputError(f"{path}: entry {i}: voice part must be a string, got None")
             try:
                 entry["voice_part"] = normalize_voice_part(entry["voice_part"])
             except ValidationError as exc:
@@ -475,8 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = sub.add_parser("g2p", parents=[common], help="lyrics to phoneme and language-token lines")
-    p.add_argument("text", nargs="*", help="lyric text (default: stdin)")
-    p.add_argument("--input", type=_path, metavar="FILE", help="read lyrics from a file")
+    lyrics = p.add_mutually_exclusive_group()
+    lyrics.add_argument("text", nargs="*", default=[], help="lyric text (default: stdin)")
+    lyrics.add_argument("--input", type=_path, metavar="FILE", help="read lyrics from a file")
     p.add_argument("--output", type=_path, metavar="FILE",
                    help="write the two lines here instead of stdout")
     p.set_defaults(func=cmd_g2p)

@@ -205,16 +205,11 @@ class Lexicon:
         if hit is not None:
             return hit
         initial, final = split_pinyin(syl)
+        final_phones = self.pinyin_entries.get(final)
         # Written "u" after j/q/x/y denotes the umlaut series (ü, spelled v
         # in the unit table): que = q + ve, xun = x + vn.
         if initial in ("j", "q", "x", "y") and final.startswith("u"):
-            umlaut = self.pinyin_entries.get("v" + final[1:])
-            if umlaut is not None:
-                final_phones = umlaut
-            else:
-                final_phones = self.pinyin_entries.get(final)
-        else:
-            final_phones = self.pinyin_entries.get(final)
+            final_phones = self.pinyin_entries.get("v" + final[1:], final_phones)
         if final_phones is None or self.is_initial(final) or CMU_VOWELS.isdisjoint(final_phones):
             raise OovError(syllable, MANDARIN)
         if not initial:

@@ -22,35 +22,23 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InputError, ParseError
 from .jsonio import read_json
-from .lexicon import (CMU_VOWELS, ENGLISH, Lexicon, LyricToken, aligned_phone,
-                      is_silence_label, token_phones)
-from .textgrid import AlignmentTier
+from .lexicon import (CMU_VOWELS, ENGLISH, MANDARIN, Lexicon, LyricToken, aligned_phone,
+                      is_silence_label, language_of, token_phones)
+
+if TYPE_CHECKING:  # for an annotation only: most commands that load score parse no TextGrid
+    from .textgrid import AlignmentTier
 
 log = logging.getLogger(__name__)
 
 SPEECH, SINGING, PSEUDO_SINGING = 0, 1, 2
 
+_LANGUAGES = {"cn": MANDARIN, "en": ENGLISH}  # score-row "lang" codes
+
 _MIN_ALIGNED_DUR = 0.005  # one 5 ms frame: floor for aligned phone durations
-
-
-@dataclass(frozen=True)
-class ScoreEvent:
-    """One score row: a lyric unit (or slur continuation) on one note."""
-
-    lyric_unit: LyricToken | None
-    note_midi: int
-    note_dur: float
-    is_slur: bool = False
-
-    def __post_init__(self):
-        if not (math.isfinite(self.note_dur) and self.note_dur > 0):
-            raise InputError(f"note_dur must be positive and finite, got {self.note_dur}")
-        if not 0 <= self.note_midi <= 127:
-            raise InputError(f"note_midi must be a MIDI note in 0..127, got {self.note_midi}")
 
 
 @dataclass(frozen=True)
@@ -106,12 +94,49 @@ def _nucleus(expansion: Sequence[str]) -> str:
     return expansion[-1]
 
 
-def transform_score(score: Sequence[ScoreEvent], lexicon: Lexicon) -> TransformedScore:
-    """Expand score rows to phoneme level.
+def _score_row(row: dict, lexicon: Lexicon) -> tuple[tuple[str, ...] | None, int, int, float]:
+    """(expansion, language, note, dur) of one score row, each rule checked in
+    turn. The expansion is None for a slur, whose lyric, if any, is checked
+    and then ignored; a rest (silence-marker lyric) expands to the marker."""
+    lyric = row.get("lyric")
+    if not isinstance(lyric, (str, type(None))):
+        raise InputError(f"lyric must be a string, got {lyric!r}")
+    slur = row.get("slur", False)
+    if not isinstance(slur, bool):
+        raise InputError(f"slur must be true or false, got {slur!r}")
+    language = ENGLISH
+    if lyric:
+        lang = row.get("lang")
+        if lang not in (None, *_LANGUAGES):
+            raise InputError(f"has unknown lang {lang!r}")
+        language = language_of(lyric) if lang is None else _LANGUAGES[lang]
+    elif not slur:
+        raise InputError("has no lyric and is not a slur")
+    for key in ("note", "dur"):
+        if isinstance(row[key], bool) or not isinstance(row[key], (int, float)):
+            raise InputError(f"{key} must be a number, got {row[key]!r}")
+    try:
+        note, dur = int(row["note"]), float(row["dur"])
+    except (OverflowError, ValueError) as exc:  # an infinite or NaN note, a huge integer dur
+        raise InputError(str(exc)) from None
+    if not (math.isfinite(dur) and dur > 0):
+        raise InputError(f"note_dur must be positive and finite, got {dur}")
+    if not 0 <= note <= 127:
+        raise InputError(f"note_midi must be a MIDI note in 0..127, got {note}")
+    if slur:
+        return None, language, note, dur
+    if is_silence_label(lyric):
+        return (lyric,), language, note, dur
+    return token_phones(LyricToken(lyric, language), lexicon), language, note, dur
 
-    Every phoneme of a unit carries that unit's note and note duration; slur
-    rows re-emit the previous unit's sustained vowel with the slur's note.
-    Rest rows (silence-marker lyric) pass through as the marker itself.
+
+def transform_score(rows: Sequence[dict], lexicon: Lexicon) -> TransformedScore:
+    """Expand score rows to phoneme level, checking each row where it is read.
+
+    Every phoneme of a lyric carries its row's note and duration; a slur row
+    re-emits the previous lyric's sustained vowel with its own note. Rows
+    are dicts with note and dur; an error names the first bad row, as
+    ``event i: ...``.
     """
     phonemes: list[str] = []
     langs: list[int] = []
@@ -120,31 +145,21 @@ def transform_score(score: Sequence[ScoreEvent], lexicon: Lexicon) -> Transforme
 
     prev_expansion: tuple[str, ...] | None = None
     prev_lang = ENGLISH
-    for i, ev in enumerate(score):
-        if ev.is_slur:
+    for i, row in enumerate(rows):
+        try:
+            expansion, lang, note, dur = _score_row(row, lexicon)
+        except InputError as exc:
+            raise InputError(f"event {i}: {exc}") from None
+        if expansion is None:
             if prev_expansion is None:
-                raise ParseError(f"score event {i}: slur with no antecedent lyric")
-            phonemes.append(_nucleus(prev_expansion))
-            langs.append(prev_lang)
-            notes.append(ev.note_midi)
-            ndurs.append(ev.note_dur)
-            continue
-        if ev.lyric_unit is None:
-            raise ParseError(f"score event {i}: non-slur event without a lyric unit")
-        tok = ev.lyric_unit
-        if is_silence_label(tok.surface):
-            expansion = (tok.surface,)
+                raise ParseError(f"event {i}: slur with no antecedent lyric")
+            expansion, lang = (_nucleus(prev_expansion),), prev_lang
         else:
-            try:
-                expansion = token_phones(tok, lexicon)
-            except InputError as exc:
-                raise InputError(f"score event {i}: {exc}") from None
+            prev_expansion, prev_lang = expansion, lang
         phonemes.extend(expansion)
-        langs.extend([tok.language] * len(expansion))
-        notes.extend([ev.note_midi] * len(expansion))
-        ndurs.extend([ev.note_dur] * len(expansion))
-        prev_expansion = expansion
-        prev_lang = tok.language
+        langs.extend([lang] * len(expansion))
+        notes.extend([note] * len(expansion))
+        ndurs.extend([dur] * len(expansion))
     return TransformedScore(tuple(phonemes), tuple(langs), tuple(notes), tuple(ndurs))
 
 

@@ -53,14 +53,11 @@ class TestVoicePartAliases:
     def test_normalization(self, alias, part):
         assert normalize_voice_part(alias) == part
 
-    def test_none_passes_through(self):
-        assert normalize_voice_part(None) is None
-
     def test_unknown_rejected(self):
         with pytest.raises(ValidationError):
             normalize_voice_part("X9")
 
-    @pytest.mark.parametrize("part", [3, ["Bass"]])
+    @pytest.mark.parametrize("part", [3, ["Bass"], None])
     def test_non_string_rejected(self, part):
         with pytest.raises(ValidationError, match="must be a string"):
             normalize_voice_part(part)

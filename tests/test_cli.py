@@ -196,6 +196,16 @@ class TestG2p:
     def test_out_of_vocabulary_word_fails(self):
         assert main(["g2p", "zzxqv"]) == 2
 
+    def test_lyrics_with_input_file_is_a_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "lyrics.txt"
+        src.write_text("fan", encoding="utf-8")
+        out = tmp_path / "g2p.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["g2p", "cat", "--input", str(src), "--output", str(out)])
+        assert exc.value.code == 2
+        assert "argument --input: not allowed with argument text" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("env", [{}, {"LC_ALL": "C"}, {"PYTHONIOENCODING": "latin-1"}],
                              ids=["default", "c-locale", "latin-1"])
     def test_stdin_that_is_not_utf8_fails_naming_stdin(self, env):
@@ -285,13 +295,32 @@ class TestTranscode:
         {"lyric": "cat", "note": 200, "dur": 0.5},
         {"lyric": "cat", "note": -5, "dur": 0.5},
         {"lyric": "cat", "note": 1e30, "dur": 0.5},
+        {"lyric": 5, "note": 64, "dur": 0.4},
+        {"note": 64, "dur": 0.4},
+        {"lyric": "cat", "lang": "fr", "note": 64, "dur": 0.4},
+        {"lyric": "zzyzx", "note": 64, "dur": 0.4},
     ])
     def test_malformed_event_fails_naming_it(self, tmp_path, caplog, event):
         score = write_json(tmp_path / "score.json", {"events": [
             {"lyric": "cat", "note": 64, "dur": 0.4}, event,
         ]})
         assert main(["transcode", "--score", score]) == 2
-        assert "score.json: event 1:" in caplog.text
+        assert "score.json: event 1: " in caplog.text
+
+    @pytest.mark.parametrize("first, error", [
+        pytest.param({"lyric": "cat", "note": 64, "dur": 0.4, "slur": True},
+                     "slur with no antecedent lyric", id="slur"),
+        pytest.param({"lyric": "zzyzx", "note": 64, "dur": 0.4},
+                     "out-of-vocabulary English token: 'zzyzx'", id="out-of-vocabulary"),
+    ])
+    def test_first_bad_row_in_file_order_is_reported(self, tmp_path, caplog, first, error):
+        # a slur has no antecedent only in the first row
+        score = write_json(tmp_path / "score.json", {"events": [
+            first, {"lyric": "cat", "note": "x", "dur": 0.4},
+        ]})
+        assert main(["transcode", "--score", score]) == 2
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            f"{score}: event 0: {error}"]
 
 
 class TestAdapt:
@@ -1029,7 +1058,9 @@ _FUZZ_DOCS = {
     "transcode": {"s.json": {"events": [
         {"lyric": "wo", "lang": "cn", "note": 60, "dur": 0.5},
         {"lyric": "cat", "note": 64, "dur": 0.4},
-        {"note": 65, "dur": 0.2, "slur": True}]}},
+        {"note": 65, "dur": 0.2, "slur": True},
+        {"lyric": "fan", "lang": "en", "note": 67, "dur": 0.2, "slur": True},
+        {"lyric": "sp", "note": 0, "dur": 0.1}]}},
     "adapt": {
         "m.json": {"records": [{
             "utt_id": "u", "audio": "u.wav", "singer": "s01", "voice_part": "Tenor",
@@ -1282,14 +1313,14 @@ def test_malformed_input_exits_2(tmp_path, files, argv):
     pytest.param({"c.yaml": b"seed: \xe9\n"}, ["g2p", "--config", "c.yaml", "cat"], "c.yaml",
                  id="config-not-utf8"),
     pytest.param({"s.json": '{"events": [{"note": 60, "dur": 0.5, "slur": true}]}'}, _SCORE,
-                 "s.json: score event 0", id="slur-without-lyric"),
+                 "s.json: event 0", id="slur-without-lyric"),
     pytest.param({"s.json": '[{"lyric": "cat", "note": 60, "dur": 0.5}, '
                             '{"lyric": "zzyzx", "note": 62, "dur": 0.5}]'}, _SCORE,
-                 "s.json: score event 1: out-of-vocabulary English token",
+                 "s.json: event 1: out-of-vocabulary English token",
                  id="score-lyric-out-of-vocabulary"),
     pytest.param({"s.json": '[{"lyric": "ba", "lang": "cn", "note": 60, "dur": 0.5}, '
                             '{"lyric": "bp", "lang": "cn", "note": 62, "dur": 0.5}]'}, _SCORE,
-                 "s.json: score event 1: out-of-vocabulary Mandarin token",
+                 "s.json: event 1: out-of-vocabulary Mandarin token",
                  id="score-pinyin-without-a-final"),
     pytest.param({"l.txt": "cat zzyzx\n"}, ["g2p", "--input", "l.txt"],
                  "l.txt: out-of-vocabulary English token", id="g2p-input-out-of-vocabulary"),

@@ -1,10 +1,11 @@
 """Each subcommand imports only what it runs.
 
 The text subcommands (g2p, transcode, adapt, plan-svc) start without numpy,
-eval starts without the vocoder, and no command loads scipy, which is only a
-test dependency. PyYAML is loaded only to read a --config file, and the
-process pool only when one starts. Each module imports on its own, since the
-package imports none of them. Each check runs in a fresh interpreter, since
+eval starts without the vocoder, transcode, plan-svc and adapt --strategy
+average start without the TextGrid parser, and no command loads scipy, which
+is only a test dependency. PyYAML is loaded only to read a --config file, and
+the process pool only when one starts. Each module imports on its own, since
+the package imports none of them. Each check runs in a fresh interpreter, since
 this test process has long since imported everything.
 """
 
@@ -96,6 +97,13 @@ def test_text_subcommands_load_no_numpy_or_scipy(tmp_path):
     assert loaded_modules(run_commands(argvs), tmp_path, ("numpy", "scipy", *ON_USE)) == []
     for name in ("g2p.txt", "seq.json", "avg.json", "prop.json", "jobs.json"):
         assert (tmp_path / name).stat().st_size > 0
+
+
+def test_transcode_plan_svc_and_average_adapt_load_no_textgrid(tmp_path):
+    argvs = [argv for argv in text_commands(tmp_path)
+             if argv[0] in ("transcode", "plan-svc") or "average" in argv]
+    assert len(argvs) == 3
+    assert loaded_modules(run_commands(argvs), tmp_path, ("singprep.textgrid",)) == []
 
 
 def test_config_file_loads_yaml_and_is_applied(tmp_path):

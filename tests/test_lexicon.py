@@ -230,6 +230,20 @@ class TestLexiconInvariants:
         with pytest.raises(OovError, match=repr(syllable)):
             lexicon.lookup_pinyin(syllable)
 
+    @pytest.mark.parametrize("syllable, initial", [("que", "CH"), ("xue", "SH"), ("yue", "Y")])
+    def test_u_after_jqxy_resolves_through_the_umlaut_final(self, lexicon, syllable, initial):
+        assert "ue" not in lexicon.pinyin_entries
+        assert lexicon.lookup_pinyin(syllable) == (initial, *lexicon.pinyin_entries["ve"])
+
+    def test_umlaut_final_wins_over_the_plain_one_after_jqxy(self):
+        lex = Lexicon().load_pinyin_map(io.StringIO("d D\nx SH\nun UW N\nvn IY N\n"))
+        assert lex.lookup_pinyin("dun") == ("D", "UW", "N")
+        assert lex.lookup_pinyin("xun") == ("SH", "IY", "N")
+
+    def test_plain_final_serves_jqxy_without_an_umlaut_entry(self):
+        lex = Lexicon().load_pinyin_map(io.StringIO("x SH\nun UW N\n"))
+        assert lex.lookup_pinyin("xun") == ("SH", "UW", "N")
+
     def test_final_without_a_vowel_raises(self):
         lex = Lexicon().load_pinyin_map(io.StringIO("b B\nng NG\nang AE NG\n"))
         assert lex.lookup_pinyin("bang") == ("B", "AE", "NG")

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from singprep.annotation import AnnotationRecord, validate_document
-from singprep.errors import ParseError
+from singprep.errors import InputError, ParseError
 from singprep.jsonio import dumps_document, write_output
-from singprep.lexicon import ENGLISH, MANDARIN, LyricToken, default_lexicon
-from singprep.score import (PhonemeEvent, RatioTable, ScoreEvent, adapt_average,
+from singprep.lexicon import default_lexicon
+from singprep.score import (PhonemeEvent, RatioTable, adapt_average,
                             adapt_proportional, extract_ratios, transform_score)
 from singprep.textgrid import AlignmentTier, Interval
 
@@ -38,7 +38,7 @@ def cun_ratios():
 class TestTransformScore:
     def test_single_pinyin_event(self, lexicon):
         out = transform_score(
-            [ScoreEvent(LyricToken("wo", MANDARIN), 60, 0.5)], lexicon)
+            [{"lyric": "wo", "lang": "cn", "note": 60, "dur": 0.5}], lexicon)
         assert list(out.phonemes) == ["W", "AO"]
         assert list(out.note_pitches) == [60, 60]
         assert list(out.note_durs) == [0.5, 0.5]
@@ -50,34 +50,44 @@ class TestTransformScore:
 
     def test_slur_reemits_nucleus_with_new_note(self, lexicon):
         out = transform_score(
-            [ScoreEvent(LyricToken("wo", MANDARIN), 60, 0.5),
-             ScoreEvent(None, 62, 0.3, is_slur=True)], lexicon)
+            [{"lyric": "wo", "lang": "cn", "note": 60, "dur": 0.5},
+             {"note": 62, "dur": 0.3, "slur": True}], lexicon)
         assert list(out.phonemes) == ["W", "AO", "AO"]
         assert list(out.note_pitches) == [60, 60, 62]
         assert list(out.note_durs) == [0.5, 0.5, 0.3]
 
     def test_slur_after_english_word(self, lexicon):
         out = transform_score(
-            [ScoreEvent(LyricToken("cat", ENGLISH), 64, 0.4),
-             ScoreEvent(None, 66, 0.2, is_slur=True)], lexicon)
+            [{"lyric": "cat", "lang": "en", "note": 64, "dur": 0.4},
+             {"note": 66, "dur": 0.2, "slur": True}], lexicon)
         assert list(out.phonemes) == ["K", "AE", "T", "AE"]
         assert list(out.language_tokens) == [0, 0, 0, 0]
 
     def test_rest_passes_through(self, lexicon):
         out = transform_score(
-            [ScoreEvent(LyricToken("sp", ENGLISH), 0, 0.2)], lexicon)
+            [{"lyric": "sp", "lang": "en", "note": 0, "dur": 0.2}], lexicon)
         assert list(out.phonemes) == ["sp"]
         assert list(out.note_pitches) == [0]
 
     def test_slur_without_antecedent_rejected(self, lexicon):
         with pytest.raises(ParseError):
-            transform_score([ScoreEvent(None, 60, 0.5, is_slur=True)], lexicon)
+            transform_score([{"note": 60, "dur": 0.5, "slur": True}], lexicon)
+
+    def test_slur_with_a_lyric_reemits_the_nucleus_and_checks_its_lang(self, lexicon):
+        rows = [{"lyric": "wo", "lang": "cn", "note": 60, "dur": 0.5},
+                {"lyric": "cat", "note": 62, "dur": 0.3, "slur": True}]
+        out = transform_score(rows, lexicon)
+        assert list(out.phonemes) == ["W", "AO", "AO"]
+        assert list(out.language_tokens) == [1, 1, 1]
+        rows[1]["lang"] = "fr"
+        with pytest.raises(InputError, match="^event 1: has unknown lang 'fr'$"):
+            transform_score(rows, lexicon)
 
     def test_lists_equal_length(self, lexicon):
         out = transform_score(
-            [ScoreEvent(LyricToken("nuan", MANDARIN), 58, 0.7),
-             ScoreEvent(None, 61, 0.1, is_slur=True),
-             ScoreEvent(LyricToken("story", ENGLISH), 63, 0.5)], lexicon)
+            [{"lyric": "nuan", "lang": "cn", "note": 58, "dur": 0.7},
+             {"note": 61, "dur": 0.1, "slur": True},
+             {"lyric": "story", "lang": "en", "note": 63, "dur": 0.5}], lexicon)
         n = len(out.phonemes)
         assert n == len(out.language_tokens) == len(out.note_pitches) \
             == len(out.note_durs)

@@ -46,6 +46,11 @@ class TestPlanConversion:
         with pytest.raises(ValidationError):
             plan_conversion("Bass", "Countertenor")
 
+    @pytest.mark.parametrize("src, tgt", [(None, "Bass"), ("Bass", None)])
+    def test_null_part_rejected(self, src, tgt):
+        with pytest.raises(ValidationError, match="voice part must be a string, got None"):
+            plan_conversion(src, tgt)
+
 
 def _sources(*parts):
     return [{"utt_id": f"u{i}", "audio": f"u{i}.wav", "voice_part": p}
