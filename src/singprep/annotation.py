@@ -9,7 +9,7 @@ freshly read document reproduces it byte for byte.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
@@ -133,10 +133,13 @@ def validate_document(doc: dict) -> None:
     is_num = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
     check("phs", lambda v: isinstance(v, str) and v != "", "must be a nonempty string")
     check("is_slur", lambda v: is_int(v) and v in (0, 1), "must be 0 or 1")
-    # json reads 1e309 as inf, which no JSON writer can put back
-    check("ph_dur", lambda v: is_num(v) and 0 < v < math.inf, "must be a positive number")
+    # a float must hold each duration: json reads 1e309 as inf, which no JSON
+    # writer can put back, and an integer above sys.float_info.max overflows one
+    check("ph_dur", lambda v: is_num(v) and 0 < v <= sys.float_info.max,
+          "must be a positive number")
     check("notes", lambda v: is_int(v) and 0 <= v <= 127, "must be a MIDI integer in 0..127")
-    check("notes_dur", lambda v: is_num(v) and 0 <= v < math.inf, "must be a nonnegative number")
+    check("notes_dur", lambda v: is_num(v) and 0 <= v <= sys.float_info.max,
+          "must be a nonnegative number")
     check("lang", lambda v: is_int(v) and v in (0, 1), "must be 0 or 1")
     check("style", lambda v: is_int(v) and v in (0, 1, 2), "must be 0, 1, or 2")
 

@@ -19,6 +19,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -168,7 +169,7 @@ def cmd_transcode(args, cfg: PipelineConfig) -> int:
     from .score import transform_score
 
     lexicon = default_lexicon(cfg.cmu_dict, cfg.pinyin_map, cfg.hanzi_table)
-    rows = _read_entries(args.score, "events", ("note", "dur"))
+    rows = list_entries(read_json(args.score), "events", args.score)
     try:
         result = transform_score(rows, lexicon)
     except InputError as exc:
@@ -211,7 +212,7 @@ def _corpus_ratios(records, alignment_dir, lexicon: Lexicon) -> RatioTable:
 
 
 def cmd_adapt(args, cfg: PipelineConfig) -> int:
-    from .annotation import AnnotationRecord, read_manifest, write_manifest
+    from .annotation import read_manifest, write_manifest
     from .score import RatioTable, adapt_average, adapt_proportional
 
     lexicon = default_lexicon(cfg.cmu_dict, cfg.pinyin_map, cfg.hanzi_table)
@@ -242,12 +243,7 @@ def cmd_adapt(args, cfg: PipelineConfig) -> int:
             record.utterance_id, len(record.events), len(events),
             before, after, abs(after - before),
         )
-        adapted.append(
-            AnnotationRecord(
-                record.utterance_id, record.audio_path, tuple(events),
-                record.singer_id, record.voice_part,
-            )
-        )
+        adapted.append(replace(record, events=tuple(events)))
     write_manifest(adapted, args.output)
     if ratios is not None:
         for unit, events in sorted(ratios.misses.items()):
@@ -335,17 +331,18 @@ def cmd_plan_svc(args, cfg: PipelineConfig) -> int:
     from .annotation import normalize_voice_part
     from .svc import build_job_manifest
 
-    src_entries = _read_entries(args.sources, "sources", ("utt_id", "audio", "voice_part"))
-    tgt_entries = _read_entries(args.targets, "targets", ("singer", "voice_part"))
+    src_entries = list_entries(read_json(args.sources), "sources", args.sources)
+    tgt_entries = list_entries(read_json(args.targets), "targets", args.targets)
     for path, entries, keys in ((args.sources, src_entries, ("utt_id", "audio")),
                                 (args.targets, tgt_entries, ("singer",))):
         for i, entry in enumerate(entries):
             for key in keys:
-                if not isinstance(entry[key], str) or not entry[key]:
+                value = entry.get(key)
+                if not isinstance(value, str) or not value:
                     raise InputError(f"{path}: entry {i}: {key} must be a nonempty string, "
-                                     f"got {entry[key]!r}")
+                                     f"got {value!r}")
             try:
-                entry["voice_part"] = normalize_voice_part(entry["voice_part"])
+                entry["voice_part"] = normalize_voice_part(entry.get("voice_part"))
             except ValidationError as exc:
                 raise ValidationError(f"{path}: entry {i}: {f}" for f in exc.failures) from None
     jobs = build_job_manifest(src_entries, tgt_entries)
@@ -456,9 +453,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, type=_path, metavar="FILE",
                    help="annotation manifest JSON")
     p.add_argument("--strategy", choices=STRATEGIES, help="duration split strategy")
-    p.add_argument("--ratios", type=_path, metavar="FILE", help="saved duration-ratio table")
-    p.add_argument("--alignment-dir", type=_path, metavar="DIR",
-                   help="TextGrid dir for ratio extraction")
+    ratios = p.add_mutually_exclusive_group()
+    ratios.add_argument("--ratios", type=_path, metavar="FILE", help="saved duration-ratio table")
+    ratios.add_argument("--alignment-dir", type=_path, metavar="DIR",
+                        help="TextGrid dir for ratio extraction")
     p.add_argument("--output", type=_path, metavar="FILE")
     p.set_defaults(func=cmd_adapt)
 

@@ -1,8 +1,9 @@
 """Melody banks: short pitch templates for pseudo-singing, loaded from JSON.
 
-A bank is a list of templates, each a sequence of MIDI notes with relative
-step lengths; choose_melody picks one reproducibly from a seed. Kept apart
-from pseudo so that loading and checking a bank needs no numerical library.
+A bank is a tuple of templates with distinct ids, in file order, each a
+sequence of MIDI notes with relative step lengths; choose_melody picks one
+reproducibly from a seed. Kept apart from pseudo so that loading and
+checking a bank needs no numerical library.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ class MelodyTemplate:
                     "must be positive and finite"
                 )
             total += length
+        if total == math.inf:
+            raise InputError(f"melody {self.template_id!r}: step lengths must have a finite sum")
         # normalize so relative lengths sum to 1
         object.__setattr__(
             self,
@@ -51,29 +54,10 @@ class MelodyTemplate:
         )
 
 
-@dataclass(frozen=True)
-class MelodyBank:
-    templates: tuple[MelodyTemplate, ...]
-
-    def __post_init__(self):
-        seen = set()
-        for t in self.templates:
-            if t.template_id in seen:
-                raise InputError(f"duplicate melody id {t.template_id!r}")
-            seen.add(t.template_id)
-
-    def __len__(self) -> int:
-        return len(self.templates)
-
-    def get(self, template_id: str) -> MelodyTemplate:
-        for t in self.templates:
-            if t.template_id == template_id:
-                return t
-        raise InputError(f"no melody named {template_id!r}")
-
-
-def load_melody_bank(path=None) -> MelodyBank:
-    """Load a melody bank from JSON; with no path, the bundled default."""
+def load_melody_bank(path=None) -> tuple[MelodyTemplate, ...]:
+    """The templates of a melody bank JSON file, in file order; with no path,
+    the bundled default. Each entry is checked whole before the next is read,
+    so an error names the file and the first bad template."""
     if path is None:
         path = resources.files("singprep.data") / DEFAULT_BANK_RESOURCE
     doc = read_json(path)
@@ -82,10 +66,16 @@ def load_melody_bank(path=None) -> MelodyBank:
     entries = list_entries(doc, "templates", path)
     if not entries:
         raise ParseError(f"{path}: melody bank contains no templates")
-    try:
-        return MelodyBank(tuple(_template(entry) for entry in entries))
-    except InputError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    bank: dict[str, MelodyTemplate] = {}
+    for entry in entries:
+        try:
+            template = _template(entry)
+        except InputError as exc:
+            raise ParseError(f"{path}: {exc}") from None
+        if template.template_id in bank:
+            raise ParseError(f"{path}: duplicate melody id {template.template_id!r}")
+        bank[template.template_id] = template
+    return tuple(bank.values())
 
 
 def _template(entry: dict) -> MelodyTemplate:
@@ -101,12 +91,15 @@ def _template(entry: dict) -> MelodyTemplate:
         if isinstance(step[1], bool) or not isinstance(step[1], (int, float)):
             raise ParseError(f"melody {entry['id']!r}: step length {step[1]!r} "
                              "is not a number")
-        steps.append((step[0], float(step[1])))
+        try:
+            steps.append((step[0], float(step[1])))
+        except OverflowError as exc:  # an integer beyond the float range
+            raise ParseError(f"melody {entry['id']!r}: step length: {exc}") from None
     return MelodyTemplate(entry["id"], tuple(steps))
 
 
-def choose_melody(bank: MelodyBank, seed: int) -> MelodyTemplate:
+def choose_melody(bank: tuple[MelodyTemplate, ...], seed: int) -> MelodyTemplate:
     """Uniform pick from the bank, reproducible for a given seed."""
-    if len(bank) == 0:
+    if not bank:
         raise InputError("melody bank is empty")
-    return bank.templates[random.Random(seed).randrange(len(bank))]
+    return bank[random.Random(seed).randrange(len(bank))]

@@ -112,11 +112,12 @@ def _score_row(row: dict, lexicon: Lexicon) -> tuple[tuple[str, ...] | None, int
         language = language_of(lyric) if lang is None else _LANGUAGES[lang]
     elif not slur:
         raise InputError("has no lyric and is not a slur")
-    for key in ("note", "dur"):
-        if isinstance(row[key], bool) or not isinstance(row[key], (int, float)):
-            raise InputError(f"{key} must be a number, got {row[key]!r}")
+    note, dur = row.get("note"), row.get("dur")
+    for key, value in (("note", note), ("dur", dur)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise InputError(f"{key} must be a number, got {value!r}")
     try:
-        note, dur = int(row["note"]), float(row["dur"])
+        note, dur = int(note), float(dur)
     except (OverflowError, ValueError) as exc:  # an infinite or NaN note, a huge integer dur
         raise InputError(str(exc)) from None
     if not (math.isfinite(dur) and dur > 0):
@@ -134,9 +135,9 @@ def transform_score(rows: Sequence[dict], lexicon: Lexicon) -> TransformedScore:
     """Expand score rows to phoneme level, checking each row where it is read.
 
     Every phoneme of a lyric carries its row's note and duration; a slur row
-    re-emits the previous lyric's sustained vowel with its own note. Rows
-    are dicts with note and dur; an error names the first bad row, as
-    ``event i: ...``.
+    re-emits the previous lyric's sustained vowel with its own note, and a
+    rest leaves it none. Rows are dicts with note and dur; an error names the
+    first bad row, as ``event i: ...``.
     """
     phonemes: list[str] = []
     langs: list[int] = []
@@ -154,6 +155,8 @@ def transform_score(rows: Sequence[dict], lexicon: Lexicon) -> TransformedScore:
             if prev_expansion is None:
                 raise ParseError(f"event {i}: slur with no antecedent lyric")
             expansion, lang = (_nucleus(prev_expansion),), prev_lang
+        elif is_silence_label(row["lyric"]):  # a rest has no vowel for a slur to hold
+            prev_expansion = None
         else:
             prev_expansion, prev_lang = expansion, lang
         phonemes.extend(expansion)
@@ -349,13 +352,14 @@ def _adapt_final_group(
 
     tol = 1e-12 * max(span, 1.0)
     # Merge phone edges and cuts into one breakpoint list; a cut landing on a
-    # phone edge (within tol) must not create a zero-length piece.
+    # phone edge (within tol) must not create a zero-length piece. The start
+    # is never moved, so a span of at most tol is one piece.
     points = sorted(set(edges) | set(cuts))
     merged: list[float] = [0.0]
     for p in points:
         if p - merged[-1] > tol:
             merged.append(p)
-    if span - merged[-1] <= tol:
+    if len(merged) > 1 and span - merged[-1] <= tol:
         merged[-1] = span
     else:
         merged.append(span)

@@ -196,7 +196,7 @@ def test_08_pseudo_singing_melodies(capsys, clip, bank):
         wave, words, phones = clip
         assert len(bank) == 10
         n_frames = len(extract_f0(wave).values)
-        for melody in bank.templates:
+        for melody in bank:
             out, rec = make_pseudo_singing(wave, words, phones, melody, 3, "u1")
             assert set(e.style_token for e in rec.events) == {2}
             assert sum(e.ph_dur for e in rec.events) == pytest.approx(1.4, abs=1e-6)

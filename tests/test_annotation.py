@@ -149,6 +149,15 @@ class TestValidateDocument:
         with pytest.raises(ValidationError, match=r"ph_dur\[1\]"):
             validate_document(doc)
 
+    @pytest.mark.parametrize("name", ["ph_dur", "notes_dur"])
+    def test_integer_too_large_for_a_float_rejected(self, name):
+        # json reads an integer of 401 digits exactly; no float holds it
+        doc = sample_record().to_document()
+        doc[name][1] = 10 ** 400
+        with pytest.raises(ValidationError) as err:
+            validate_document(doc)
+        assert [f.split(":")[0] for f in err.value.failures] == [f"{name}[1]"]
+
     def test_null_voice_part_passes(self):
         doc = sample_record().to_document()
         doc["voice_part"] = None

@@ -17,7 +17,7 @@ from singprep.config import PipelineConfig
 from singprep.dsp.audio import write_wav
 from singprep.errors import InputError
 from singprep.jsonio import dumps_document
-from singprep.melody import load_melody_bank
+from singprep.melody import MelodyTemplate, load_melody_bank
 from singprep.score import PhonemeEvent, RatioTable
 from singprep.textgrid import AlignmentTier, Interval, serialize_textgrid, write_textgrid
 
@@ -459,6 +459,19 @@ class TestAdapt:
         manifest = cun_manifest(tmp_path / "in.json")
         assert main(["adapt", "--input", manifest,
                      "--strategy", "proportional"]) == 2
+
+    def test_ratios_with_alignment_dir_is_a_usage_error(self, tmp_path, capsys):
+        manifest = cun_manifest(tmp_path / "in.json")
+        ratios = write_json(tmp_path / "ratios.json", {})
+        (tmp_path / "empty").mkdir()
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["adapt", "--input", manifest, "--strategy", "proportional", "--ratios", ratios,
+                  "--alignment-dir", str(tmp_path / "empty"), "--output", str(out)])
+        assert exc.value.code == 2
+        assert ("argument --alignment-dir: not allowed with argument --ratios"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_writes_stdout_by_default(self, tmp_path, capsys):
         manifest = cun_manifest(tmp_path / "in.json")
@@ -1084,7 +1097,8 @@ _FUZZ_ARGV = {
     "g2p": [["g2p", "--input", "l.txt", "--output", "out.txt"]],
 }
 _BAD_VALUES = st.sampled_from([None, True, False, 0, -1, 128, 1.5, -0.0, float("nan"), _INF,
-                               "", "x", "a\0b", "\ud800", "Bassoon", [], {}, [1], {"a": 1}])
+                               10 ** 400, "", "x", "a\0b", "\ud800", "Bassoon", [], {}, [1],
+                               {"a": 1}])
 _BAD_BYTES = st.sampled_from([b"\xe9", b"\xff\xfe", b"\x00", b"\xed\xa0\x80", b"\\", b"\"",
                               b"]", b"}", b",", b"1e309", b"NaN", b"-Infinity"])
 
@@ -1184,6 +1198,25 @@ def test_text_command_fuzz_exits_0_or_2(tmp_path_factory, caplog, capsys, monkey
     assert [p.name for p in base.iterdir() if p.name.endswith(".tmp")] == []
 
 
+_FUZZ_BANK = {"templates": [{"id": "low", "steps": [[60, 1], [62, 2.5]]},
+                            {"id": "high", "steps": [[72, 1]]}]}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_melody_bank_fuzz_loads_or_names_its_file(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz_bank.json"
+    text = json.dumps(_mutate(data, json.loads(json.dumps(_FUZZ_BANK))))
+    path.write_text(text.replace(json.dumps(_INF), "1e309"), encoding="utf-8")
+    try:
+        bank = load_melody_bank(path)
+    except InputError as exc:
+        assert str(exc).startswith(f"{path}: "), exc
+    else:
+        assert bank and all(isinstance(t, MelodyTemplate) for t in bank)
+
+
 # -- exit code 2 for malformed input -------------------------------------------
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -1274,6 +1307,10 @@ def _record_doc(ph_dur="0.5", notes_dur="0.5"):
     pytest.param({"inf.json": _record_doc(ph_dur="1e309")}, _AVERAGE, id="adapt-ph-dur-1e309"),
     pytest.param({"inf.json": _record_doc(notes_dur="1e309")}, _AVERAGE,
                  id="adapt-notes-dur-1e309"),
+    pytest.param({"inf.json": _record_doc(ph_dur="1" + "0" * 400)}, _AVERAGE,
+                 id="adapt-ph-dur-integer-too-large"),
+    pytest.param({"inf.json": _record_doc(notes_dur="1" + "0" * 400)}, _AVERAGE,
+                 id="adapt-notes-dur-integer-too-large"),
 ])
 def test_malformed_input_exits_2(tmp_path, files, argv):
     stderr = _run_main(tmp_path, files, argv)
@@ -1334,6 +1371,9 @@ def test_malformed_input_exits_2(tmp_path, files, argv):
                  _PSEUDO_BANK, "b.json", id="melody-id-null"),
     pytest.param({"m.json": _PSEUDO_MANIFEST, "b.json": _BANK.replace('"low"', "7")},
                  _PSEUDO_BANK, "b.json", id="melody-id-number"),
+    pytest.param({"m.json": _PSEUDO_MANIFEST,
+                  "b.json": _BANK.replace("1]]", "1" + "0" * 400 + "]]")},
+                 _PSEUDO_BANK, "b.json: melody 'low'", id="melody-step-length-integer-too-large"),
     pytest.param({"r.json": '{"c": {"phones": ["T", "S"], "weights": [0.0, 1.0]}}'}, _RATIOS,
                  "r.json: ratio table unit 'c'", id="ratios-zero-weight"),
     pytest.param({"r.json": '{"c": {"phones": ["T", "S"], "weights": [0.9, 0.1]}, '
@@ -1361,6 +1401,32 @@ def test_input_error_names_its_file(tmp_path, files, argv, name):
     stderr = _run_main(tmp_path, files, argv)
     errors = [line for line in stderr.splitlines() if line.startswith("ERROR ")]
     assert len(errors) == 1 and errors[0].startswith(f"ERROR {name}: "), stderr
+
+
+@pytest.mark.parametrize("files, argv, message", [
+    pytest.param({"m.json": _PSEUDO_MANIFEST, "b.json": _BANK.replace(
+        "]]}", ']]}, {"id": "low", "steps": [[62, 1]]}, {"id": "c", "steps": [[200, 1]]}')},
+                 _PSEUDO_BANK, "b.json: duplicate melody id 'low'", id="melody-id-repeated"),
+    pytest.param({"m.json": _PSEUDO_MANIFEST,
+                  "b.json": _BANK.replace("[[60, 1]]", "[[60, 1e308], [72, 1e308]]")},
+                 _PSEUDO_BANK, "b.json: melody 'low': step lengths must have a finite sum",
+                 id="melody-step-lengths-sum-overflows"),
+    pytest.param({"s.json": '[{"lyric": "zzyzx", "note": 60, "dur": 0.5}, '
+                            '{"lyric": "cat", "dur": 0.5}]'}, _SCORE,
+                 "s.json: event 0: out-of-vocabulary English token: 'zzyzx'",
+                 id="score-bad-event-before-an-absent-note"),
+    pytest.param({"s.json": '[{"lyric": "sp", "note": 0, "dur": 0.5}, '
+                            '{"note": 62, "dur": 0.5, "slur": true}]'}, _SCORE,
+                 "s.json: event 1: slur with no antecedent lyric", id="slur-after-a-rest"),
+    pytest.param({"src.json": _SOURCES.replace(', "voice_part": "Bass"', ""),
+                  "tgt.json": _TARGETS},
+                 _PLAN, "src.json: entry 0: voice part must be a string, got None",
+                 id="plan-svc-source-voice-part-absent"),
+])
+def test_first_bad_entry_reported(tmp_path, files, argv, message):
+    stderr = _run_main(tmp_path, files, argv)
+    assert [line for line in stderr.splitlines() if line.startswith("ERROR ")] \
+        == [f"ERROR {message}"], stderr
 
 
 def _run_main(tmp_path, files, argv) -> str:

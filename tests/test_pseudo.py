@@ -6,12 +6,16 @@ import pytest
 from singprep.dsp.audio import Waveform
 from singprep.dsp.pitch import extract_f0, hz_from_midi
 from singprep.errors import InputError, ValidationError
-from singprep.melody import MelodyBank, MelodyTemplate, choose_melody, load_melody_bank
+from singprep.melody import MelodyTemplate, choose_melody, load_melody_bank
 from singprep.pseudo import _speech_phone_events, make_pseudo_singing, render_melody
 from singprep.score import PSEUDO_SINGING, extract_ratios
 from singprep.textgrid import AlignmentTier, Interval
 
 from helpers import SR, speech_clip
+
+
+def _melody(bank, template_id: str) -> MelodyTemplate:
+    return next(t for t in bank if t.template_id == template_id)
 
 
 class TestMelodyTemplate:
@@ -45,26 +49,29 @@ class TestMelodyTemplate:
         with pytest.raises(InputError, match="positive and finite"):
             MelodyTemplate("t", ((60, 1.0), (62, length)))
 
+    def test_lengths_whose_sum_overflows_rejected(self):
+        # each length is finite, but their sum is not: normalized, both would read 0.0
+        with pytest.raises(InputError, match="'t': step lengths must have a finite sum"):
+            MelodyTemplate("t", ((60, 1e308), (72, 1e308)))
+
 
 class TestMelodyBank:
     def test_builtin_bank_has_ten_melodies(self, bank):
-        assert len(bank.templates) == 10
+        assert len(bank) == 10
 
     def test_ids_unique(self, bank):
-        ids = [t.template_id for t in bank.templates]
+        ids = [t.template_id for t in bank]
         assert len(set(ids)) == len(ids)
 
-    def test_get_by_id(self, bank):
-        assert bank.get("scale_up").template_id == "scale_up"
-
-    def test_get_unknown_rejected(self, bank):
-        with pytest.raises(InputError):
-            bank.get("nope")
-
-    def test_duplicate_ids_rejected(self):
-        t = MelodyTemplate("a", ((60, 1.0),))
-        with pytest.raises(InputError):
-            MelodyBank((t, t))
+    def test_duplicate_ids_rejected(self, tmp_path):
+        # the repeat is reported where it is read, before the bad note after it
+        p = tmp_path / "b.json"
+        p.write_text(json.dumps({"templates": [
+            {"id": "a", "steps": [[60, 1]]}, {"id": "a", "steps": [[62, 1]]},
+            {"id": "c", "steps": [[200, 1]]}]}))
+        with pytest.raises(InputError) as err:
+            load_melody_bank(p)
+        assert str(err.value) == f"{p}: duplicate melody id 'a'"
 
     def test_custom_bank_file(self, tmp_path):
         doc = {"templates": [
@@ -72,8 +79,7 @@ class TestMelodyBank:
         ]}
         p = tmp_path / "bank.json"
         p.write_text(json.dumps(doc))
-        bank = load_melody_bank(p)
-        assert bank.get("solo").steps == ((60, 0.5), (64, 0.5))
+        assert load_melody_bank(p) == (MelodyTemplate("solo", ((60, 0.5), (64, 0.5))),)
 
     def test_malformed_bank_rejected(self, tmp_path):
         p = tmp_path / "bank.json"
@@ -96,6 +102,7 @@ class TestMelodyBank:
         ([[60, "1"]], "step length '1' is not a number"),
         ([[60, None]], "step length None is not a number"),
         ([[60, True]], "step length True is not a number"),
+        ([[60, 10 ** 400]], "'a': step length: int too large to convert to float"),
         (7, "steps must be a list"),
     ])
     def test_malformed_steps_named(self, tmp_path, steps, message):
@@ -110,6 +117,10 @@ class TestChooseMelody:
         assert choose_melody(bank, 42).template_id \
             == choose_melody(bank, 42).template_id
 
+    def test_empty_bank_rejected(self):
+        with pytest.raises(InputError, match="melody bank is empty"):
+            choose_melody((), 0)
+
     def test_seed_varies_choice(self, bank):
         picks = {choose_melody(bank, s).template_id for s in range(50)}
         assert len(picks) > 3
@@ -120,8 +131,8 @@ class TestChooseMelody:
         for s in range(n):
             tid = choose_melody(bank, s).template_id
             counts[tid] = counts.get(tid, 0) + 1
-        assert set(counts) == {t.template_id for t in bank.templates}
-        expected = n / len(bank.templates)
+        assert set(counts) == {t.template_id for t in bank}
+        expected = n / len(bank)
         for c in counts.values():
             assert abs(c - expected) < 5 * np.sqrt(expected)
 
@@ -160,19 +171,19 @@ class TestRenderMelody:
 class TestMakePseudoSinging:
     def test_phone_sequence_from_alignment(self, clip, bank):
         wave, words, phones = clip
-        _, rec = make_pseudo_singing(wave, words, phones, bank.get("scale_up"), 3, "u1")
+        _, rec = make_pseudo_singing(wave, words, phones, _melody(bank, "scale_up"), 3, "u1")
         assert [e.phoneme for e in rec.events] == ["S", "AO", "NG", "F", "AE", "N"]
 
     def test_latin_words_tokenized_english(self, clip, bank):
         wave, words, phones = clip
-        _, rec = make_pseudo_singing(wave, words, phones, bank.get("scale_up"), 3, "u1")
+        _, rec = make_pseudo_singing(wave, words, phones, _melody(bank, "scale_up"), 3, "u1")
         assert {e.language_token for e in rec.events} == {0}
 
     def test_han_word_tokenized_mandarin(self, clip, bank):
         wave, _, phones = clip
         words = AlignmentTier("words", (
             Interval(0.0, 0.95, "我"), Interval(0.95, 1.8, "fan")))
-        _, rec = make_pseudo_singing(wave, words, phones, bank.get("scale_up"), 3, "u1")
+        _, rec = make_pseudo_singing(wave, words, phones, _melody(bank, "scale_up"), 3, "u1")
         langs = {e.phoneme: e.language_token for e in rec.events}
         assert langs["AO"] == 1 and langs["AE"] == 0
 
@@ -180,36 +191,36 @@ class TestMakePseudoSinging:
         wave, _, phones = clip
         words = AlignmentTier("words", (Interval(0.0, 0.5, "song"),))
         with pytest.raises(InputError, match="outside"):
-            make_pseudo_singing(wave, words, phones, bank.get("scale_up"), 3, "u1")
+            make_pseudo_singing(wave, words, phones, _melody(bank, "scale_up"), 3, "u1")
 
     def test_unknown_phone_label_rejected(self, clip, bank):
         wave, words, _ = clip
         phones = AlignmentTier("phones", (Interval(0.2, 0.5, "QQ"),))
         with pytest.raises(InputError, match="not a recognized phone"):
-            make_pseudo_singing(wave, words, phones, bank.get("scale_up"), 3, "u1")
+            make_pseudo_singing(wave, words, phones, _melody(bank, "scale_up"), 3, "u1")
 
     def test_output_length_matches_input(self, clip, bank):
         wave, words, phones = clip
         out, _ = make_pseudo_singing(wave, words, phones,
-                                     bank.get("scale_up"), 3, "u1")
+                                     _melody(bank, "scale_up"), 3, "u1")
         assert len(out) == len(wave)
 
     def test_style_token_pseudo_everywhere(self, clip, bank):
         wave, words, phones = clip
         _, rec = make_pseudo_singing(wave, words, phones,
-                                     bank.get("cadence"), 3, "u1")
+                                     _melody(bank, "cadence"), 3, "u1")
         assert {e.style_token for e in rec.events} == {PSEUDO_SINGING}
 
     def test_durations_preserved_from_alignment(self, clip, bank):
         wave, words, phones = clip
         _, rec = make_pseudo_singing(wave, words, phones,
-                                     bank.get("held_low"), 3, "u1")
+                                     _melody(bank, "held_low"), 3, "u1")
         assert sum(e.ph_dur for e in rec.events) == pytest.approx(1.4, abs=1e-9)
 
     def test_notes_follow_melody_steps_at_midpoints(self, clip, bank):
         wave, words, phones = clip
         _, rec = make_pseudo_singing(wave, words, phones,
-                                     bank.get("scale_up"), 3, "u1")
+                                     _melody(bank, "scale_up"), 3, "u1")
         notes = {e.phoneme: e.note_midi for e in rec.events}
         # scale_up: 8 equal steps over 1.8 s (0.225 s each); phone midpoints
         # AO 0.50s, NG 0.775s, F 1.025s, AE 1.30s land strictly inside
@@ -226,21 +237,21 @@ class TestMakePseudoSinging:
     def test_note_dur_is_step_span(self, clip, bank):
         wave, words, phones = clip
         _, rec = make_pseudo_singing(wave, words, phones,
-                                     bank.get("scale_up"), 3, "u1")
+                                     _melody(bank, "scale_up"), 3, "u1")
         assert all(e.note_dur == pytest.approx(0.225) for e in rec.events)
 
     def test_deterministic_for_seed(self, clip, bank):
         wave, words, phones = clip
         out1, rec1 = make_pseudo_singing(wave, words, phones,
-                                         bank.get("hill"), 9, "u1")
+                                         _melody(bank, "hill"), 9, "u1")
         out2, rec2 = make_pseudo_singing(wave, words, phones,
-                                         bank.get("hill"), 9, "u1")
+                                         _melody(bank, "hill"), 9, "u1")
         assert np.array_equal(out1.samples, out2.samples)
         assert rec1 == rec2
 
     def test_rendered_pitch_tracks_melody(self, clip, bank):
         wave, words, phones = clip
-        melody = bank.get("held_low")
+        melody = _melody(bank, "held_low")
         out, _ = make_pseudo_singing(wave, words, phones, melody, 3, "u1")
         target = render_melody(melody, len(extract_f0(wave).values))
         back = extract_f0(out)
@@ -253,7 +264,7 @@ class TestMakePseudoSinging:
     def test_unvoiced_source_frames_stay_unvoiced(self, clip, bank):
         wave, words, phones = clip
         out, _ = make_pseudo_singing(wave, words, phones,
-                                     bank.get("held_high"), 3, "u1")
+                                     _melody(bank, "held_high"), 3, "u1")
         src = extract_f0(wave)
         back = extract_f0(out)
         # the leading silence must not acquire melody pitch
@@ -267,7 +278,7 @@ class TestMakePseudoSinging:
         wave = Waveform(np.zeros(SR), SR)
         with pytest.raises(InputError, match="span"):
             make_pseudo_singing(wave, words, phones,
-                                bank.get("scale_up"), 3, "u1")
+                                _melody(bank, "scale_up"), 3, "u1")
 
     def test_silence_only_alignment_rejected(self, clip, bank):
         wave, _, _ = clip
@@ -275,11 +286,11 @@ class TestMakePseudoSinging:
         phones = AlignmentTier("phones", (Interval(0.0, 1.8, "sil"),))
         with pytest.raises(ValidationError):
             make_pseudo_singing(wave, words, phones,
-                                bank.get("scale_up"), 3, "u1")
+                                _melody(bank, "scale_up"), 3, "u1")
 
     def test_record_identity_fields(self, clip, bank):
         wave, words, phones = clip
-        _, rec = make_pseudo_singing(wave, words, phones, bank.get("hill"),
+        _, rec = make_pseudo_singing(wave, words, phones, _melody(bank, "hill"),
                                      3, "utt9", audio_path="x/utt9.wav",
                                      singer_id="spk1")
         assert rec.utterance_id == "utt9"

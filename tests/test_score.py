@@ -73,6 +73,20 @@ class TestTransformScore:
         with pytest.raises(ParseError):
             transform_score([{"note": 60, "dur": 0.5, "slur": True}], lexicon)
 
+    def test_slur_after_a_rest_rejected(self, lexicon):
+        # a rest has no vowel to hold, so its marker is no antecedent
+        with pytest.raises(ParseError, match="^event 1: slur with no antecedent lyric$"):
+            transform_score([{"lyric": "sp", "note": 0, "dur": 0.5},
+                             {"note": 62, "dur": 0.5, "slur": True}], lexicon)
+
+    def test_absent_field_reads_as_null_in_its_own_row(self, lexicon):
+        rows = [{"lyric": "cat", "note": 60, "dur": 0.5}, {"lyric": "cat", "dur": 0.5}]
+        with pytest.raises(InputError, match="^event 1: note must be a number, got None$"):
+            transform_score(rows, lexicon)
+        rows[0]["lyric"] = "zzyzx"  # an earlier row's fault is reported first
+        with pytest.raises(InputError, match="^event 0: out-of-vocabulary English token"):
+            transform_score(rows, lexicon)
+
     def test_slur_with_a_lyric_reemits_the_nucleus_and_checks_its_lang(self, lexicon):
         rows = [{"lyric": "wo", "lang": "cn", "note": 60, "dur": 0.5},
                 {"lyric": "cat", "note": 62, "dur": 0.3, "slur": True}]
@@ -188,6 +202,17 @@ class TestAdaptProportional:
     def test_rest_untouched(self, lexicon):
         rest = PhonemeEvent("sp", 0.2, 0, 0.2, language_token=1)
         assert adapt_proportional([rest], lexicon, cun_ratios()) == [rest]
+
+    def test_final_within_the_tolerance_is_kept(self, lexicon):
+        # a final group of 2e-13 s has no breakpoint above the tolerance: one piece
+        events = [PhonemeEvent("c", 0.1, 60, 0.1, language_token=1),
+                  PhonemeEvent("un", 1e-13, 62, 1e-13, language_token=1),
+                  PhonemeEvent("un", 1e-13, 64, 1e-13, is_slur=True, language_token=1)]
+        out = adapt_proportional(events, lexicon, cun_ratios())
+        assert [e.phoneme for e in out[:2]] == ["T", "S"] and len(out) == 3
+        assert out[2].phoneme in lexicon.expand_unit("un")
+        assert out[2].ph_dur == 1e-13 + 1e-13
+        assert sum(e.ph_dur for e in out) == pytest.approx(0.1 + 2e-13, rel=1e-15)
 
 
 class TestExtractRatios:
