@@ -483,6 +483,21 @@ class TestAdapt:
         path = write_json(tmp_path / "in.json", {"records": []})
         assert main(["adapt", "--input", path, "--strategy", "average"]) == 2
 
+    @pytest.mark.parametrize("strategy", ["average", "proportional"])
+    def test_duration_that_underflows_to_zero_fails(self, tmp_path, caplog, strategy):
+        # 5e-324 is the least float: split over T and S, each half rounds to 0.0
+        manifest = write_json(tmp_path / "m.json", {"records": [{
+            "utt_id": "u", "audio": "u.wav", "singer": "", "voice_part": None,
+            "phs": ["c", "ang"], "is_slur": [0, 0], "ph_dur": [5e-324, 0.3],
+            "notes": [60, 60], "notes_dur": [0.3, 0.3], "lang": [1, 1], "style": [1, 1]}]})
+        ratios = ["--ratios", write_json(tmp_path / "r.json", {})] if strategy != "average" else []
+        out = tmp_path / "out.json"
+        assert main(["adapt", "--input", manifest, "--strategy", strategy, *ratios,
+                     "--output", str(out)]) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors and all("ph_dur" in e for e in errors), errors
+        assert not out.exists()
+
     def test_bad_json_lines_row_fails_naming_it(self, tmp_path, caplog):
         record = json.loads(Path(cun_manifest(tmp_path / "in.json")).read_text())["records"][0]
         path = tmp_path / "in.jsonl"
