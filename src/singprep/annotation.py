@@ -9,12 +9,12 @@ freshly read document reproduces it byte for byte.
 from __future__ import annotations
 
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ParseError, ValidationError
-from .jsonio import dumps_document, list_entries, loads, read_json, read_text, write_output
-from .score import PhonemeEvent
+from .jsonio import dumps_document, list_entries, loads, read_text, write_output
 
 VOICE_PARTS = ("Bass", "Baritone", "Tenor", "Alto", "Soprano")
 
@@ -26,9 +26,6 @@ VOICE_PART_ALIASES = {
     "B1": "Bass",
     "B2": "Baritone",
 }
-
-_ARRAYS = ("phs", "is_slur", "ph_dur", "notes", "notes_dur", "lang", "style")
-_FIELDS = ("utt_id", "audio", "singer", "voice_part", *_ARRAYS)
 
 
 def normalize_voice_part(part: str) -> str:
@@ -46,49 +43,43 @@ def normalize_voice_part(part: str) -> str:
 
 @dataclass
 class AnnotationRecord:
-    """One annotated utterance. voice_part may be None for speech corpora.
+    """One annotated utterance: its metadata and its seven parallel per-phoneme
+    arrays, each field named and ordered as in the document. voice_part may be
+    None for speech corpora.
 
-    The record checks nothing itself: validate_document checks every
-    document read, and each PhonemeEvent checks its own duration and tokens.
+    The record checks nothing itself: from_document passes every document,
+    read or computed, through validate_document before it builds a record.
     """
 
-    utterance_id: str
-    audio_path: str
-    events: tuple[PhonemeEvent, ...]
-    singer_id: str = ""
-    voice_part: str | None = None
+    utt_id: str
+    audio: str
+    singer: str
+    voice_part: str | None
+    phs: list[str]
+    is_slur: list[int]
+    ph_dur: list[float]
+    notes: list[int]
+    notes_dur: list[float]
+    lang: list[int]
+    style: list[int]
+
+    def __len__(self) -> int:
+        """The number of events."""
+        return len(self.phs)
 
     def to_document(self) -> dict:
-        return {
-            "utt_id": self.utterance_id,
-            "audio": self.audio_path,
-            "singer": self.singer_id,
-            "voice_part": self.voice_part,
-            "phs": [e.phoneme for e in self.events],
-            "is_slur": [int(e.is_slur) for e in self.events],
-            "ph_dur": [e.ph_dur for e in self.events],
-            "notes": [e.note_midi for e in self.events],
-            "notes_dur": [e.note_dur for e in self.events],
-            "lang": [e.language_token for e in self.events],
-            "style": [e.style_token for e in self.events],
-        }
+        """The record's document; it holds the record's own lists."""
+        return dict(vars(self))
 
     @classmethod
     def from_document(cls, doc: dict) -> "AnnotationRecord":
+        """The record of doc; ValidationError listing every failure of validate_document."""
         validate_document(doc)
-        events = tuple(
-            PhonemeEvent(ph, dur, note, note_dur, bool(slur), lang, style)
-            for ph, dur, note, note_dur, slur, lang, style in zip(
-                doc["phs"], doc["ph_dur"], doc["notes"], doc["notes_dur"],
-                doc["is_slur"], doc["lang"], doc["style"])
-        )
-        return cls(
-            utterance_id=doc["utt_id"],
-            audio_path=doc["audio"],
-            events=events,
-            singer_id=doc["singer"],
-            voice_part=doc["voice_part"],
-        )
+        return cls(*map(doc.__getitem__, _FIELDS))
+
+
+_FIELDS = tuple(f.name for f in fields(AnnotationRecord))
+_ARRAYS = _FIELDS[4:]
 
 
 def validate_document(doc: dict) -> None:
@@ -122,21 +113,26 @@ def validate_document(doc: dict) -> None:
     if lengths == {0}:
         failures.append("phs: event list must be nonempty")
 
-    def check(name, pred, msg):
+    def check(name, pred, msg) -> bool:
+        """Whether doc[name] is an array whose every element passes pred."""
         arr = doc.get(name)
-        if isinstance(arr, list):
-            for i, v in enumerate(arr):
-                if not pred(v):
-                    failures.append(f"{name}[{i}]: {msg} (got {v!r})")
+        if not isinstance(arr, list):
+            return False
+        bad = [f"{name}[{i}]: {msg} (got {v!r})" for i, v in enumerate(arr) if not pred(v)]
+        failures.extend(bad)
+        return not bad
 
     is_int = lambda v: isinstance(v, int) and not isinstance(v, bool)
     is_num = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
     check("phs", lambda v: isinstance(v, str) and v != "", "must be a nonempty string")
     check("is_slur", lambda v: is_int(v) and v in (0, 1), "must be 0 or 1")
     # a float must hold each duration: json reads 1e309 as inf, which no JSON
-    # writer can put back, and an integer above sys.float_info.max overflows one
-    check("ph_dur", lambda v: is_num(v) and 0 < v <= sys.float_info.max,
-          "must be a positive number")
+    # writer can put back, and an integer above sys.float_info.max overflows one.
+    # So must the sum of ph_dur, which adapt takes as a span.
+    if (check("ph_dur", lambda v: is_num(v) and 0 < v <= sys.float_info.max,
+              "must be a positive number")
+            and not math.isfinite(sum(doc["ph_dur"], 0.0))):
+        failures.append("ph_dur: must have a finite sum")
     check("notes", lambda v: is_int(v) and 0 <= v <= 127, "must be a MIDI integer in 0..127")
     check("notes_dur", lambda v: is_num(v) and 0 <= v <= sys.float_info.max,
           "must be a nonnegative number")
@@ -149,10 +145,6 @@ def validate_document(doc: dict) -> None:
 
 def write_annotation(record: AnnotationRecord, path) -> None:
     write_output(dumps_document(record.to_document()), path)
-
-
-def read_annotation(path) -> AnnotationRecord:
-    return AnnotationRecord.from_document(read_json(path))
 
 
 # -- manifests ---------------------------------------------------------------
@@ -185,9 +177,9 @@ def read_manifest(path) -> list[AnnotationRecord]:
             record = AnnotationRecord.from_document(row)
         except ValidationError as exc:
             raise ValidationError(f"{path}: record {i}: {f}" for f in exc.failures) from None
-        if record.utterance_id in seen:
-            raise ValidationError([f"{path}: duplicate utt_id {record.utterance_id!r}"])
-        seen.add(record.utterance_id)
+        if record.utt_id in seen:
+            raise ValidationError([f"{path}: duplicate utt_id {record.utt_id!r}"])
+        seen.add(record.utt_id)
         records.append(record)
     return records
 

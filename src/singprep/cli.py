@@ -19,7 +19,6 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -101,16 +100,6 @@ def _file_size(path) -> int:
         return 0
 
 
-def _read_entries(path, list_key: str, required: tuple[str, ...]) -> list[dict]:
-    """A JSON manifest: either {list_key: [...]} or a bare list of objects."""
-    entries = list_entries(read_json(path), list_key, path)
-    for i, entry in enumerate(entries):
-        missing = [k for k in required if k not in entry]
-        if missing:
-            raise InputError(f"{path}: entry {i} missing fields: {', '.join(missing)}")
-    return entries
-
-
 def _check_strings(entry: dict, keys: tuple[str, ...], path) -> None:
     """InputError naming the manifest and the field if one of keys holds a non-string."""
     for key in keys:
@@ -119,15 +108,24 @@ def _check_strings(entry: dict, keys: tuple[str, ...], path) -> None:
                              f"got {entry[key]!r}")
 
 
-def _by_utt_id(entries: list[dict], path) -> dict[str, dict]:
-    """Manifest entries keyed by utt_id, in order; ids must be unique strings."""
+def _utterances(path, required: tuple[str, ...], file_names: bool = False) -> dict[str, dict]:
+    """The entries of an utterance manifest by utt_id, read in one pass in file
+    order. Each utt_id is checked where it is read: a nonempty string, unique
+    and, with file_names, a plain file name. An absent required field reads as
+    null, so that it fails only its own item, as a null does."""
     by_id: dict[str, dict] = {}
-    for entry in entries:
-        utt_id = entry["utt_id"]
+    for i, entry in enumerate(list_entries(read_json(path), "utterances", path)):
+        utt_id = entry.get("utt_id")
         if not isinstance(utt_id, str) or not utt_id:
-            raise InputError(f"{path}: utt_id must be a nonempty string, got {utt_id!r}")
+            raise InputError(f"{path}: entry {i}: utt_id must be a nonempty string, "
+                             f"got {utt_id!r}")
         if utt_id in by_id:
             raise InputError(f"{path}: duplicate utt_id {utt_id!r}")
+        if file_names and (Path(utt_id).name != utt_id or utt_id in (".", "..", "summary")
+                           or "\0" in utt_id):
+            raise InputError(f"{path}: utt_id {utt_id!r} is not a plain file name")
+        for key in required:
+            entry.setdefault(key, None)
         by_id[utt_id] = entry
     return by_id
 
@@ -182,8 +180,11 @@ def cmd_transcode(args, cfg: PipelineConfig) -> int:
 
 def _expected_units(record: AnnotationRecord, lexicon: Lexicon):
     """(unit, expansion) for each event to split, in order; OovError on an unknown unit."""
-    return [(ev.phoneme, lexicon.expand_unit(ev.phoneme))
-            for ev in record.events if not (ev.is_rest() or ev.is_slur)]
+    from .score import is_rest
+
+    return [(unit, lexicon.expand_unit(unit))
+            for unit, note, slur in zip(record.phs, record.notes, record.is_slur)
+            if not (slur or is_rest(unit, note))]
 
 
 def _corpus_ratios(records, alignment_dir, lexicon: Lexicon) -> RatioTable:
@@ -193,7 +194,7 @@ def _corpus_ratios(records, alignment_dir, lexicon: Lexicon) -> RatioTable:
     from .score import RatioTable, extract_ratios
     from .textgrid import read_textgrid
 
-    expected = [(record.utterance_id, _expected_units(record, lexicon)) for record in records]
+    expected = [(record.utt_id, _expected_units(record, lexicon)) for record in records]
     tables = []
     for utt_id, units in expected:
         tg_path = Path(alignment_dir) / f"{utt_id}.TextGrid"
@@ -231,19 +232,20 @@ def cmd_adapt(args, cfg: PipelineConfig) -> int:
                 "proportional adaptation needs --ratios or --alignment-dir"
             )
     adapted = []
-    for record in records:
-        if strategy == "average":
-            events = adapt_average(record.events, lexicon)
-        else:
-            events = adapt_proportional(record.events, lexicon, ratios)
-        before = sum(e.ph_dur for e in record.events)
-        after = sum(e.ph_dur for e in events)
+    for i, record in enumerate(records):
+        try:
+            if strategy == "average":
+                out = adapt_average(record, lexicon)
+            else:
+                out = adapt_proportional(record, lexicon, ratios)
+        except ValidationError as exc:  # a computed duration out of range
+            raise ValidationError(f"{args.input}: record {i}: {f}" for f in exc.failures) from None
+        before, after = sum(record.ph_dur), sum(out.ph_dur)
         log.info(
             "%s: %d -> %d events, duration %.6f -> %.6f (drift %.3e)",
-            record.utterance_id, len(record.events), len(events),
-            before, after, abs(after - before),
+            record.utt_id, len(record), len(out), before, after, abs(after - before),
         )
-        adapted.append(replace(record, events=tuple(events)))
+        adapted.append(out)
     write_manifest(adapted, args.output)
     if ratios is not None:
         for unit, events in sorted(ratios.misses.items()):
@@ -288,14 +290,7 @@ def _pseudo_worker(payload: tuple) -> str:
 def cmd_pseudo(args, cfg: PipelineConfig) -> int:
     from . import pseudo  # noqa: F401 - loaded before the pool forks, so workers inherit it
 
-    entries = _by_utt_id(
-        _read_entries(args.manifest, "utterances", ("utt_id", "audio", "textgrid")),
-        args.manifest,
-    ).values()
-    for entry in entries:
-        utt_id = entry["utt_id"]
-        if Path(utt_id).name != utt_id or utt_id in (".", "..", "summary") or "\0" in utt_id:
-            raise InputError(f"{args.manifest}: utt_id {utt_id!r} is not a plain file name")
+    entries = _utterances(args.manifest, ("audio", "textgrid"), file_names=True).values()
     bank = load_melody_bank(cfg.melody_bank)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -378,8 +373,8 @@ def _eval_worker(payload: tuple) -> dict:
 def cmd_eval(args, cfg: PipelineConfig) -> int:
     from .metrics import EvalReport
 
-    refs = _by_utt_id(_read_entries(args.ref, "utterances", ("utt_id", "audio")), args.ref)
-    hyps = _by_utt_id(_read_entries(args.hyp, "utterances", ("utt_id", "audio")), args.hyp)
+    refs = _utterances(args.ref, ("audio",))
+    hyps = _utterances(args.hyp, ("audio",))
     if set(refs) != set(hyps):
         only_ref = sorted(set(refs) - set(hyps))
         only_hyp = sorted(set(hyps) - set(refs))

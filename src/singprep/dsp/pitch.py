@@ -15,7 +15,6 @@ size at which the circular correlation does not wrap for lags 0..w.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -25,8 +24,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import InputError
 from .audio import Waveform
-
-log = logging.getLogger(__name__)
 
 DEFAULT_HOP = 0.005
 DEFAULT_FMIN = 65.0
@@ -203,15 +200,3 @@ def nearest_midi(f: float) -> int:
     """Nearest integer MIDI note (half steps round up)."""
     return int(math.floor(midi_from_hz(f) + 0.5))
 
-
-def transpose_f0(contour: F0Contour, semitones: float, max_hz: float | None = None) -> F0Contour:
-    """Scale voiced values by 2^(semitones/12); unvoiced frames stay 0."""
-    factor = 2.0 ** (semitones / 12.0)
-    values = np.where(contour.voiced, contour.values * factor, 0.0)
-    if max_hz is not None and np.any(values > max_hz):
-        log.warning(
-            "transpose by %+g semitones exceeds %g Hz on %d frames; clamping",
-            semitones, max_hz, int(np.sum(values > max_hz)),
-        )
-        values = np.minimum(values, max_hz)
-    return F0Contour(values)

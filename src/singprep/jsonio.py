@@ -84,16 +84,18 @@ def _dumps(obj, pad: str) -> str:
         if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, obj))):
             body = (",\n" + inner).join([_dumps(v, inner) for v in obj])
         else:
-            body = json.dumps(obj, ensure_ascii=False, separators=(",\n" + inner, ": "))[1:-1]
+            body = json.dumps(obj, ensure_ascii=False, allow_nan=False,
+                              separators=(",\n" + inner, ": "))[1:-1]
         return "[\n" + inner + body + "\n" + pad + "]"
     if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
         body = (",\n" + inner).join([
-            json.dumps(k, ensure_ascii=False) + ": " + _dumps(v, inner) for k, v in obj.items()
+            json.dumps(k, ensure_ascii=False, allow_nan=False) + ": " + _dumps(v, inner)
+            for k, v in obj.items()
         ])
         return "{\n" + inner + body + "\n" + pad + "}"
     # Scalars, empty containers and non-string keys: the stdlib, re-indented
     # (encoded strings hold no raw newline).
-    return json.dumps(obj, ensure_ascii=False, indent=2).replace("\n", "\n" + pad)
+    return json.dumps(obj, ensure_ascii=False, indent=2, allow_nan=False).replace("\n", "\n" + pad)
 
 
 def write_output(data: str | bytes, path) -> None:

@@ -15,13 +15,13 @@ from .annotation import AnnotationRecord
 from .dsp.pitch import DEFAULT_HOP, F0Contour, hz_from_midi
 from .dsp.vocoder import analyze, synthesize
 from .dsp.audio import Waveform
-from .errors import InputError, ValidationError
+from .errors import InputError
 from .lexicon import CMU_PHONES, aligned_phone, is_silence_label, language_of
 # load_melody_bank stays importable from here because bench/tracing.py wraps
 # singprep.pseudo.load_melody_bank; without it that traced layer would
 # silently record nothing.
 from .melody import MelodyTemplate, load_melody_bank  # noqa: F401
-from .score import PSEUDO_SINGING, PhonemeEvent
+from .score import PSEUDO_SINGING
 from .textgrid import AlignmentTier, Interval
 
 _ALIGN_TOLERANCE = 0.05  # seconds of admissible waveform/alignment mismatch
@@ -107,24 +107,20 @@ def make_pseudo_singing(
     rendered = synthesize(replace(analysis, f0=masked), rng=np.random.default_rng(seed))
 
     spans = _step_spans(melody, n)
-    events = []
+    phs, ph_dur, notes, notes_dur, lang = [], [], [], [], []
     for iv, ph, word in _speech_phone_events(word_tier, phone_tier):
         mid_frame = (iv.start + iv.end) / 2.0 / DEFAULT_HOP
         start, end, midi = next(
             (s for s in spans if s[0] <= mid_frame < s[1]), spans[-1]
         )
-        events.append(
-            PhonemeEvent(
-                phoneme=ph,
-                ph_dur=iv.end - iv.start,
-                note_midi=midi,
-                note_dur=(end - start) * DEFAULT_HOP,
-                is_slur=False,
-                language_token=language_of(word.label),
-                style_token=PSEUDO_SINGING,
-            )
-        )
-    if not events:
-        raise ValidationError(["alignment yields no phone events"])
-    record = AnnotationRecord(utt_id, audio_path, tuple(events), singer_id, None)
+        phs.append(ph)
+        ph_dur.append(iv.end - iv.start)
+        notes.append(midi)
+        notes_dur.append((end - start) * DEFAULT_HOP)
+        lang.append(language_of(word.label))
+    record = AnnotationRecord.from_document({
+        "utt_id": utt_id, "audio": audio_path, "singer": singer_id, "voice_part": None,
+        "phs": phs, "is_slur": [0] * len(phs), "ph_dur": ph_dur, "notes": notes,
+        "notes_dur": notes_dur, "lang": lang, "style": [PSEUDO_SINGING] * len(phs),
+    })
     return rendered, record

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from .annotation import AnnotationRecord
 from .errors import InputError, ParseError
 from .jsonio import read_json
 from .lexicon import (CMU_VOWELS, ENGLISH, MANDARIN, Lexicon, LyricToken, aligned_phone,
@@ -41,28 +42,9 @@ _LANGUAGES = {"cn": MANDARIN, "en": ENGLISH}  # score-row "lang" codes
 _MIN_ALIGNED_DUR = 0.005  # one 5 ms frame: floor for aligned phone durations
 
 
-@dataclass(frozen=True)
-class PhonemeEvent:
-    """The unified annotation atom: one phoneme with timing, note, and tokens."""
-
-    phoneme: str
-    ph_dur: float
-    note_midi: int
-    note_dur: float
-    is_slur: bool = False
-    language_token: int = 1
-    style_token: int = SINGING
-
-    def __post_init__(self):
-        if self.ph_dur <= 0:
-            raise InputError(f"ph_dur must be positive, got {self.ph_dur}")
-        if self.language_token not in (0, 1):
-            raise InputError(f"language_token must be 0 or 1, got {self.language_token}")
-        if self.style_token not in (0, 1, 2):
-            raise InputError(f"style_token must be 0, 1, or 2, got {self.style_token}")
-
-    def is_rest(self) -> bool:
-        return self.note_midi == 0 or is_silence_label(self.phoneme)
+def is_rest(phoneme: str, note: int) -> bool:
+    """Whether an annotation event is a rest: note 0 or a silence label."""
+    return note == 0 or is_silence_label(phoneme)
 
 
 @dataclass(frozen=True)
@@ -227,12 +209,6 @@ class RatioTable:
                 out.set(unit, expansion, tuple(a / total for a in acc))
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            unit: {"phones": list(exp), "weights": list(w)}
-            for unit, (exp, w) in sorted(self._weights.items())
-        }
-
     @classmethod
     def load(cls, path) -> "RatioTable":
         """A table from its file: {unit: {"phones": [...], "weights": [...]}}."""
@@ -267,30 +243,47 @@ def _expansion_weights(
     return expansion, weights
 
 
-def adapt_average(events: Sequence[PhonemeEvent], lexicon: Lexicon) -> list[PhonemeEvent]:
+def _adapted(record: AnnotationRecord, phs: list[str], is_slur: list[int],
+             ph_dur: list[float], src: list[int]) -> AnnotationRecord:
+    """record with the events phs, is_slur and ph_dur, event k taking the note,
+    note duration and tokens of input event src[k]. from_document checks the
+    result, as it checks every record read."""
+    doc = record.to_document()
+    doc.update(phs=phs, is_slur=is_slur, ph_dur=ph_dur)
+    for name in ("notes", "notes_dur", "lang", "style"):
+        column = doc[name]
+        doc[name] = [column[j] for j in src]
+    return AnnotationRecord.from_document(doc)
+
+
+def adapt_average(record: AnnotationRecord, lexicon: Lexicon) -> AnnotationRecord:
     """Replace each Pinyin-unit event by its CMU phones, duration split equally.
 
     Notes, slur flags, and tokens are copied onto every split phone; rests
     pass through untouched.
     """
-    out: list[PhonemeEvent] = []
-    for ev in events:
-        if ev.is_rest():
-            out.append(ev)
-            continue
-        expansion = lexicon.expand_unit(ev.phoneme)
-        share = ev.ph_dur / len(expansion)
-        for ph in expansion:
-            out.append(PhonemeEvent(ph, share, ev.note_midi, ev.note_dur, ev.is_slur,
-                                    ev.language_token, ev.style_token))
-    return out
+    phs: list[str] = []
+    is_slur: list[int] = []
+    ph_dur: list[float] = []
+    src: list[int] = []
+    for i, (unit, dur, note) in enumerate(zip(record.phs, record.ph_dur, record.notes)):
+        if is_rest(unit, note):
+            expansion, share = (unit,), dur
+        else:
+            expansion = lexicon.expand_unit(unit)
+            share = dur / len(expansion)
+        phs.extend(expansion)
+        is_slur.extend([record.is_slur[i]] * len(expansion))
+        ph_dur.extend([share] * len(expansion))
+        src.extend([i] * len(expansion))
+    return _adapted(record, phs, is_slur, ph_dur, src)
 
 
 def adapt_proportional(
-    events: Sequence[PhonemeEvent],
+    record: AnnotationRecord,
     lexicon: Lexicon,
     ratios: RatioTable | None,
-) -> list[PhonemeEvent]:
+) -> AnnotationRecord:
     """Replace Pinyin-unit events by CMU phones with ratio-weighted durations.
 
     Initials keep their total duration, distributed over their phones by
@@ -300,40 +293,40 @@ def adapt_proportional(
     second piece slur-flagged and carrying the second note. A unit without a
     ratio is split equally and its events are counted in ``ratios.misses``.
     """
-    out: list[PhonemeEvent] = []
+    phs, is_slur, ph_dur, src = out = ([], [], [], [])
     i = 0
-    n = len(events)
+    n = len(record)
     while i < n:
-        ev = events[i]
-        if ev.is_rest():
-            out.append(ev)
-            i += 1
+        unit = record.phs[i]
+        if is_rest(unit, record.notes[i]):
+            expansion, durs = (unit,), (record.ph_dur[i],)
+        elif lexicon.is_initial(unit):
+            expansion, weights = _expansion_weights(unit, lexicon, ratios, 1)
+            durs = [w * record.ph_dur[i] for w in weights]
+        else:  # a final: absorb consecutive slur repetitions of the same unit
+            j = i + 1
+            while j < n and record.is_slur[j] and record.phs[j] == unit:
+                j += 1
+            _adapt_final_group(record, i, j, lexicon, ratios, out)
+            i = j
             continue
-        if lexicon.is_initial(ev.phoneme):
-            expansion, weights = _expansion_weights(ev.phoneme, lexicon, ratios, 1)
-            for ph, w in zip(expansion, weights):
-                out.append(PhonemeEvent(ph, w * ev.ph_dur, ev.note_midi, ev.note_dur,
-                                        ev.is_slur, ev.language_token, ev.style_token))
-            i += 1
-            continue
-        # Final: absorb consecutive slur repetitions of the same unit.
-        group = [ev]
-        j = i + 1
-        while j < n and events[j].is_slur and events[j].phoneme == ev.phoneme:
-            group.append(events[j])
-            j += 1
-        out.extend(_adapt_final_group(group, lexicon, ratios))
-        i = j
-    return out
+        phs.extend(expansion)
+        is_slur.extend([record.is_slur[i]] * len(expansion))
+        ph_dur.extend(durs)
+        src.extend([i] * len(expansion))
+        i += 1
+    return _adapted(record, *out)
 
 
-def _adapt_final_group(
-    group: list[PhonemeEvent], lexicon: Lexicon, ratios: RatioTable | None
-) -> list[PhonemeEvent]:
-    """Distribute a merged final span over its phones, then cut at note boundaries."""
-    unit = group[0].phoneme
-    expansion, weights = _expansion_weights(unit, lexicon, ratios, len(group))
-    span = sum(e.ph_dur for e in group)
+def _adapt_final_group(record: AnnotationRecord, start: int, stop: int, lexicon: Lexicon,
+                       ratios: RatioTable | None, out: tuple[list, list, list, list]) -> None:
+    """Distribute the merged final span of events start..stop-1 over its phones,
+    cut it at note boundaries, and append the pieces to the columns out (phs,
+    is_slur, ph_dur and src, as _adapted takes them)."""
+    unit = record.phs[start]
+    expansion, weights = _expansion_weights(unit, lexicon, ratios, stop - start)
+    durs = record.ph_dur[start:stop]
+    span = sum(durs)
 
     # Phone edges from cumulative weights; the last edge is the span exactly.
     edges: list[float] = []
@@ -346,8 +339,8 @@ def _adapt_final_group(
     # Note cut points: cumulative input durations, interior only.
     cuts: list[float] = []
     acc = 0.0
-    for e in group[:-1]:
-        acc += e.ph_dur
+    for d in durs[:-1]:
+        acc += d
         cuts.append(acc)
 
     tol = 1e-12 * max(span, 1.0)
@@ -364,22 +357,19 @@ def _adapt_final_group(
     else:
         merged.append(span)
 
-    out: list[PhonemeEvent] = []
-    last_phone, last_event, first_slur = len(expansion) - 1, len(group) - 1, group[0].is_slur
+    phs, is_slur, ph_dur, src = out
+    last_phone, last_event, first_slur = len(expansion) - 1, len(durs) - 1, record.is_slur[start]
     emitted_phone = -1
     for a, b in zip(merged, merged[1:]):
         mid = (a + b) / 2.0
         phone_idx = min(bisect_right(edges, mid), last_phone)
         event_idx = min(bisect_right(cuts, mid), last_event)
-        src = group[event_idx]
         first_piece = phone_idx != emitted_phone
-        out.append(PhonemeEvent(
-            expansion[phone_idx], b - a, src.note_midi, src.note_dur,
-            first_slur if first_piece and event_idx == 0 else not first_piece,
-            src.language_token, src.style_token,
-        ))
+        phs.append(expansion[phone_idx])
+        is_slur.append(first_slur if first_piece and event_idx == 0 else int(not first_piece))
+        ph_dur.append(b - a)
+        src.append(start + event_idx)
         emitted_phone = phone_idx
-    return out
 
 
 def extract_ratios(

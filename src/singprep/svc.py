@@ -8,7 +8,7 @@ verbatim rather than computed.
 
 from __future__ import annotations
 
-from .annotation import VOICE_PARTS, normalize_voice_part
+from .annotation import VOICE_PARTS
 
 # rows: source part; columns: target part; both in VOICE_PARTS order
 # (Bass, Baritone, Tenor, Alto, Soprano); values in semitones.
@@ -25,13 +25,6 @@ PITCH_SHIFT_TABLE: dict[tuple[str, str], int] = {
     for i, src in enumerate(VOICE_PARTS)
     for j, tgt in enumerate(VOICE_PARTS)
 }
-
-
-def plan_conversion(source_part: str, target_part: str) -> int:
-    """Semitones to shift when converting source_part material to target_part."""
-    src = normalize_voice_part(source_part)
-    tgt = normalize_voice_part(target_part)
-    return PITCH_SHIFT_TABLE[(src, tgt)]
 
 
 def build_job_manifest(sources: list[dict], targets: list[dict]) -> list[dict]:

@@ -14,14 +14,15 @@ import numpy as np
 import pytest
 
 from singprep.cli import main
-from singprep.dsp.pitch import extract_f0, midi_from_hz, transpose_f0
+from singprep.dsp.pitch import extract_f0, midi_from_hz
 from singprep.dsp.vocoder import analyze, synthesize
 from singprep.lexicon import default_lexicon, g2p, segment_lyrics
 from singprep.melody import load_melody_bank
 from singprep.metrics import McepFrames, evaluate_pair, f0_rmse, mcd_from_frames, wer
 from singprep.pseudo import make_pseudo_singing, render_melody
-from singprep.score import PhonemeEvent, RatioTable, adapt_average, adapt_proportional
-from singprep.svc import plan_conversion
+from singprep.annotation import AnnotationRecord
+from singprep.score import RatioTable, adapt_average, adapt_proportional
+from singprep.svc import PITCH_SHIFT_TABLE
 
 from helpers import SR, sine, speech_clip, write_clip_files
 from oracles import wer_oracle
@@ -77,50 +78,48 @@ def test_02_mixed_language_line(capsys, lexicon):
         assert list(seq.language_tokens) == [1] * 6 + [0] * 11
 
 
+def mandarin_record(phs, ph_dur, notes, notes_dur, is_slur):
+    """A singing record of Mandarin events."""
+    n = len(phs)
+    return AnnotationRecord("u", "u.wav", "", None, phs, is_slur, ph_dur, notes, notes_dur,
+                            [1] * n, [1] * n)
+
+
 def cun_events():
-    return [
-        PhonemeEvent("c", 0.18, 60, 0.425, language_token=1, style_token=1),
-        PhonemeEvent("uen", 0.245, 60, 0.425, language_token=1, style_token=1),
-        PhonemeEvent("uen", 0.295, 62, 0.295, is_slur=True,
-                     language_token=1, style_token=1),
-    ]
+    return mandarin_record(["c", "uen", "uen"], [0.18, 0.245, 0.295], [60, 60, 62],
+                           [0.425, 0.425, 0.295], [0, 0, 1])
 
 
 def test_03_duration_split_columns(capsys, lexicon):
     with scored(capsys, "unit-splitting strategies reproduce reference columns"):
         out = adapt_average(cun_events(), lexicon)
-        assert [e.phoneme for e in out] == ["T", "S", "UW", "AH", "N",
-                                            "UW", "AH", "N"]
-        assert [round4(e.ph_dur) for e in out] == [
+        assert out.phs == ["T", "S", "UW", "AH", "N",
+                           "UW", "AH", "N"]
+        assert [round4(d) for d in out.ph_dur] == [
             0.09, 0.09, 0.0817, 0.0817, 0.0817, 0.0983, 0.0983, 0.0983]
 
         ratios = RatioTable()
         ratios.set("c", ("T", "S"), (0.2, 0.8))
         ratios.set("uen", ("UW", "AH", "N"), (1 / 3, 1 / 3, 1 / 3))
         out = adapt_proportional(cun_events(), lexicon, ratios)
-        assert [e.phoneme for e in out] == ["T", "S", "UW", "AH", "AH", "N"]
-        assert [round4(e.ph_dur) for e in out] == [
+        assert out.phs == ["T", "S", "UW", "AH", "AH", "N"]
+        assert [round4(d) for d in out.ph_dur] == [
             0.036, 0.144, 0.18, 0.065, 0.115, 0.18]
-        assert [e.note_midi for e in out] == [60, 60, 60, 60, 62, 62]
+        assert out.notes == [60, 60, 60, 60, 62, 62]
 
 
 def random_annotation(rng):
     finals = ("a", "ang", "uen", "iou", "uei")
-    events = []
+    events = []  # (phoneme, ph_dur, note, note_dur, is_slur)
     for _ in range(rng.randint(1, 8)):
         note = rng.randint(50, 70)
         if rng.random() < 0.5:
-            events.append(PhonemeEvent(rng.choice(("c", "zh")),
-                                       rng.uniform(0.03, 0.2), note, 0.4,
-                                       language_token=1, style_token=1))
+            events.append((rng.choice(("c", "zh")), rng.uniform(0.03, 0.2), note, 0.4, 0))
         final = rng.choice(finals)
-        events.append(PhonemeEvent(final, rng.uniform(0.05, 0.5), note, 0.4,
-                                   language_token=1, style_token=1))
+        events.append((final, rng.uniform(0.05, 0.5), note, 0.4, 0))
         if rng.random() < 0.3:
-            events.append(PhonemeEvent(final, rng.uniform(0.05, 0.5), note + 2,
-                                       0.3, is_slur=True,
-                                       language_token=1, style_token=1))
-    return events
+            events.append((final, rng.uniform(0.05, 0.5), note + 2, 0.3, 1))
+    return mandarin_record(*map(list, zip(*events)))
 
 
 def test_04_duration_conservation(capsys, lexicon):
@@ -130,11 +129,11 @@ def test_04_duration_conservation(capsys, lexicon):
         ratios.set("c", ("T", "S"), (0.2, 0.8))
         ratios.set("uen", ("UW", "AH", "N"), (0.25, 0.35, 0.40))
         for _ in range(1000):
-            events = random_annotation(rng)
-            before = sum(e.ph_dur for e in events)
-            for out in (adapt_average(events, lexicon),
-                        adapt_proportional(events, lexicon, ratios)):
-                after = sum(e.ph_dur for e in out)
+            rec = random_annotation(rng)
+            before = sum(rec.ph_dur)
+            for out in (adapt_average(rec, lexicon),
+                        adapt_proportional(rec, lexicon, ratios)):
+                after = sum(out.ph_dur)
                 assert abs(after - before) <= 1e-9 * before
 
 
@@ -152,25 +151,20 @@ def test_05_pitch_shift_matrix(capsys):
     with scored(capsys, "voice-part transposition matrix and antisymmetry"):
         for src, row in EXPECTED_SHIFTS.items():
             for dst, expected in zip(PARTS, row):
-                assert plan_conversion(src, dst) == expected, (src, dst)
+                assert PITCH_SHIFT_TABLE[src, dst] == expected, (src, dst)
         for src in PARTS:
             for dst in PARTS:
-                assert plan_conversion(src, dst) == -plan_conversion(dst, src)
+                assert PITCH_SHIFT_TABLE[src, dst] == -PITCH_SHIFT_TABLE[dst, src]
 
 
 def test_06_pitch_tracker(capsys):
-    with scored(capsys, "pitch tracking, transposition, midi conversion"):
+    with scored(capsys, "pitch tracking, midi conversion"):
         contour = extract_f0(sine(220.0, 1.0))
         interior = contour.values[10:-10]
         voiced = interior[interior > 0]
         assert len(voiced) >= 0.95 * len(interior)
         within = np.abs(voiced - 220.0) <= 0.01 * 220.0
         assert within.mean() >= 0.95
-
-        up = transpose_f0(contour, 12.0)
-        v = contour.values > 0
-        assert np.array_equal(up.values[v], contour.values[v] * 2.0)
-        assert np.all(up.values[~v] == 0.0)
 
         assert midi_from_hz(440.0) == 69
 
@@ -198,8 +192,8 @@ def test_08_pseudo_singing_melodies(capsys, clip, bank):
         n_frames = len(extract_f0(wave).values)
         for melody in bank:
             out, rec = make_pseudo_singing(wave, words, phones, melody, 3, "u1")
-            assert set(e.style_token for e in rec.events) == {2}
-            assert sum(e.ph_dur for e in rec.events) == pytest.approx(1.4, abs=1e-6)
+            assert set(rec.style) == {2}
+            assert sum(rec.ph_dur) == pytest.approx(1.4, abs=1e-6)
             target = render_melody(melody, n_frames)
             back = extract_f0(out)
             n = min(len(back.values), len(target.values))

@@ -6,42 +6,47 @@ from hypothesis import given, strategies as st
 from importlib import resources
 
 from singprep.annotation import (_ARRAYS, VOICE_PARTS, AnnotationRecord, normalize_voice_part,
-                                 read_annotation, read_manifest, validate_document,
-                                 write_annotation, write_manifest)
+                                 read_manifest, validate_document, write_annotation,
+                                 write_manifest)
 from singprep.errors import ParseError, ValidationError
-from singprep.jsonio import dumps_document
-from singprep.score import PhonemeEvent
+from singprep.jsonio import dumps_document, read_json
+from singprep.score import is_rest
 
 
 def sample_record(utt="utt1"):
-    events = (
-        PhonemeEvent("K", 0.08, 64, 0.4, language_token=0, style_token=1),
-        PhonemeEvent("AE", 0.22, 64, 0.4, language_token=0, style_token=1),
-        PhonemeEvent("T", 0.10, 64, 0.4, language_token=0, style_token=1),
-        PhonemeEvent("AE", 0.15, 66, 0.15, is_slur=True,
-                     language_token=0, style_token=1),
-    )
-    return AnnotationRecord(utt, f"{utt}.wav", events,
-                            singer_id="s01", voice_part="Tenor")
+    return AnnotationRecord(
+        utt, f"{utt}.wav", "s01", "Tenor", phs=["K", "AE", "T", "AE"], is_slur=[0, 0, 0, 1],
+        ph_dur=[0.08, 0.22, 0.10, 0.15], notes=[64, 64, 64, 66],
+        notes_dur=[0.4, 0.4, 0.4, 0.15], lang=[0, 0, 0, 0], style=[1, 1, 1, 1])
+
+
+def _with_event(**columns):
+    """sample_record's document with its second event's fields replaced."""
+    doc = sample_record().to_document()
+    for name, value in columns.items():
+        doc[name][1] = value
+    return doc
 
 
 class TestPhonemeEvent:
+    """The rules of one event of a record, as from_document checks them."""
+
     def test_nonpositive_duration_rejected(self):
         with pytest.raises(ValueError):
-            PhonemeEvent("AA", 0.0, 60, 0.2)
+            AnnotationRecord.from_document(_with_event(ph_dur=0.0))
 
     def test_language_token_domain(self):
         with pytest.raises(ValueError):
-            PhonemeEvent("AA", 0.1, 60, 0.2, language_token=2)
+            AnnotationRecord.from_document(_with_event(lang=2))
 
     def test_style_token_domain(self):
         with pytest.raises(ValueError):
-            PhonemeEvent("AA", 0.1, 60, 0.2, style_token=3)
+            AnnotationRecord.from_document(_with_event(style=3))
 
     def test_rest_detection(self):
-        assert PhonemeEvent("sp", 0.1, 0, 0.1).is_rest()
-        assert PhonemeEvent("AA", 0.1, 0, 0.1).is_rest()
-        assert not PhonemeEvent("AA", 0.1, 60, 0.1).is_rest()
+        assert is_rest("sp", 0)
+        assert is_rest("AA", 0)
+        assert not is_rest("AA", 60)
 
 
 class TestVoicePartAliases:
@@ -81,11 +86,14 @@ class TestDocumentRoundTrip:
         rec = sample_record()
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         write_annotation(rec, p1)
-        write_annotation(read_annotation(p1), p2)
+        write_annotation(AnnotationRecord.from_document(read_json(p1)), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_total_duration(self):
-        assert sum(e.ph_dur for e in sample_record().events) == pytest.approx(0.55)
+        assert sum(sample_record().ph_dur) == pytest.approx(0.55)
+
+    def test_length_is_the_event_count(self):
+        assert len(sample_record()) == 4
 
     def test_document_carries_parallel_arrays(self):
         doc = sample_record().to_document()
@@ -157,6 +165,14 @@ class TestValidateDocument:
         with pytest.raises(ValidationError) as err:
             validate_document(doc)
         assert [f.split(":")[0] for f in err.value.failures] == [f"{name}[1]"]
+
+    @pytest.mark.parametrize("ph_dur", [[1e308] * 4, [10 ** 308] * 4])
+    def test_durations_whose_sum_overflows_rejected(self, ph_dur):
+        doc = sample_record().to_document()
+        doc["ph_dur"] = ph_dur
+        with pytest.raises(ValidationError) as err:
+            validate_document(doc)
+        assert err.value.failures == ["ph_dur: must have a finite sum"]
 
     def test_null_voice_part_passes(self):
         doc = sample_record().to_document()
@@ -243,12 +259,6 @@ class TestManifest:
             read_manifest(p)
         assert f"{p}: {message}" in str(err.value)
 
-    def test_read_annotation_bad_json_is_a_parse_error(self, tmp_path):
-        p = tmp_path / "a.json"
-        p.write_text("{not json")
-        with pytest.raises(ParseError, match="invalid JSON"):
-            read_annotation(p)
-
 
 def test_voice_parts_are_the_five_registers():
     assert VOICE_PARTS == ("Bass", "Baritone", "Tenor", "Alto", "Soprano")
@@ -266,12 +276,27 @@ _JSON_DOCS = st.recursive(_JSON_SCALARS, lambda children: st.one_of(
 ), max_leaves=40)
 
 
+def assert_dumps_like_stdlib(doc):
+    """dumps_document(doc) is the stdlib's strict indented JSON, or both raise
+    ValueError (a NaN or an infinity, which strict JSON cannot hold)."""
+    try:
+        expected = json.dumps(doc, ensure_ascii=False, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        with pytest.raises(ValueError):
+            dumps_document(doc)
+    else:
+        assert dumps_document(doc) == expected
+
+
 @given(_JSON_DOCS)
 def test_dumps_document_equals_stdlib_indented_json(doc):
-    assert dumps_document(doc) == json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+    assert_dumps_like_stdlib(doc)
 
 
 def test_dumps_document_on_a_manifest_equals_stdlib():
     doc = {"records": [sample_record(f"ü{i}").to_document() for i in range(3)]}
+    assert_dumps_like_stdlib(doc)
     doc["records"][1]["ph_dur"][0] = float("nan")
-    assert dumps_document(doc) == json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+    assert_dumps_like_stdlib(doc)
+    with pytest.raises(ValueError):
+        dumps_document({"a": [float("inf")]})

@@ -18,7 +18,6 @@ from singprep.dsp.audio import write_wav
 from singprep.errors import InputError
 from singprep.jsonio import dumps_document
 from singprep.melody import MelodyTemplate, load_melody_bank
-from singprep.score import PhonemeEvent, RatioTable
 from singprep.textgrid import AlignmentTier, Interval, serialize_textgrid, write_textgrid
 
 from helpers import sine, write_clip_files
@@ -46,13 +45,10 @@ CUN_MISMATCHED = AlignmentTier("phones", [
 
 
 def cun_manifest(path):
-    events = [
-        PhonemeEvent("c", 0.18, 60, 0.425, language_token=1, style_token=1),
-        PhonemeEvent("uen", 0.245, 60, 0.425, language_token=1, style_token=1),
-        PhonemeEvent("uen", 0.295, 62, 0.295, is_slur=True,
-                     language_token=1, style_token=1),
-    ]
-    write_manifest([AnnotationRecord("cun", "cun.wav", events, "s01", "Tenor")], path)
+    write_manifest([AnnotationRecord(
+        "cun", "cun.wav", "s01", "Tenor", phs=["c", "uen", "uen"], is_slur=[0, 0, 1],
+        ph_dur=[0.18, 0.245, 0.295], notes=[60, 60, 62], notes_dur=[0.425, 0.425, 0.295],
+        lang=[1, 1, 1], style=[1, 1, 1])], path)
     return str(path)
 
 
@@ -350,10 +346,10 @@ class TestAdapt:
 
     def test_proportional_with_ratio_file(self, tmp_path):
         manifest = cun_manifest(tmp_path / "in.json")
-        table = RatioTable()
-        table.set("c", ("T", "S"), (0.2, 0.8))
-        table.set("uen", ("UW", "AH", "N"), (1 / 3, 1 / 3, 1 / 3))
-        (tmp_path / "ratios.json").write_text(dumps_document(table.to_dict()), encoding="utf-8")
+        (tmp_path / "ratios.json").write_text(dumps_document({
+            "c": {"phones": ["T", "S"], "weights": [0.2, 0.8]},
+            "uen": {"phones": ["UW", "AH", "N"], "weights": [1 / 3, 1 / 3, 1 / 3]},
+        }), encoding="utf-8")
         out = tmp_path / "out.json"
         assert main(["adapt", "--input", manifest, "--strategy", "proportional",
                      "--ratios", str(tmp_path / "ratios.json"),
@@ -483,20 +479,32 @@ class TestAdapt:
         path = write_json(tmp_path / "in.json", {"records": []})
         assert main(["adapt", "--input", path, "--strategy", "average"]) == 2
 
-    @pytest.mark.parametrize("strategy", ["average", "proportional"])
-    def test_duration_that_underflows_to_zero_fails(self, tmp_path, caplog, strategy):
-        # 5e-324 is the least float: split over T and S, each half rounds to 0.0
+    def adapt_two_events(self, tmp_path, caplog, strategy, phs, is_slur, ph_dur):
+        """adapt --strategy (proportional with an empty ratio table) on one record
+        of two events; returns the ERROR messages, asserting exit 2 and no output."""
         manifest = write_json(tmp_path / "m.json", {"records": [{
             "utt_id": "u", "audio": "u.wav", "singer": "", "voice_part": None,
-            "phs": ["c", "ang"], "is_slur": [0, 0], "ph_dur": [5e-324, 0.3],
+            "phs": phs, "is_slur": is_slur, "ph_dur": ph_dur,
             "notes": [60, 60], "notes_dur": [0.3, 0.3], "lang": [1, 1], "style": [1, 1]}]})
         ratios = ["--ratios", write_json(tmp_path / "r.json", {})] if strategy != "average" else []
         out = tmp_path / "out.json"
         assert main(["adapt", "--input", manifest, "--strategy", strategy, *ratios,
                      "--output", str(out)]) == 2
-        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-        assert errors and all("ph_dur" in e for e in errors), errors
         assert not out.exists()
+        return [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+
+    @pytest.mark.parametrize("strategy", ["average", "proportional"])
+    def test_duration_that_underflows_to_zero_fails(self, tmp_path, caplog, strategy):
+        # 5e-324 is the least float: split over T and S, each half rounds to 0.0
+        errors = self.adapt_two_events(tmp_path, caplog, strategy, ["c", "ang"], [0, 0],
+                                       [5e-324, 0.3])
+        assert errors and all("ph_dur" in e for e in errors), errors
+
+    @pytest.mark.parametrize("strategy", ["average", "proportional"])
+    def test_durations_whose_sum_overflows_fail(self, tmp_path, caplog, strategy):
+        errors = self.adapt_two_events(tmp_path, caplog, strategy, ["an", "an"], [0, 1],
+                                       [1e308, 1e308])
+        assert errors == [f"{tmp_path / 'm.json'}: record 0: ph_dur: must have a finite sum"]
 
     def test_bad_json_lines_row_fails_naming_it(self, tmp_path, caplog):
         record = json.loads(Path(cun_manifest(tmp_path / "in.json")).read_text())["records"][0]
@@ -674,6 +682,26 @@ class TestPseudo:
         assert (out_dir / "clip.wav").exists() and (out_dir / "clip2.wav").exists()
         assert not (out_dir / "nul_audio.wav").exists()
         assert not (out_dir / "nul_textgrid.wav").exists()
+
+    def test_absent_audio_or_textgrid_fails_only_its_utterance(self, speech_manifest, caplog):
+        manifest, tmp_path = speech_manifest
+        doc = json.loads(Path(manifest).read_text())
+        good = doc["utterances"][0]
+        doc["utterances"] += [{"utt_id": "no_audio", "textgrid": good["textgrid"]},
+                              {"utt_id": "null_audio", "audio": None,
+                               "textgrid": good["textgrid"]},
+                              {"utt_id": "no_textgrid", "audio": good["audio"]}]
+        write_json(Path(manifest), doc)
+        out_dir = tmp_path / "out"
+        assert main(["pseudo", "--manifest", manifest, "--output-dir", str(out_dir)]) == 2
+        assert not any(r.exc_info for r in caplog.records), caplog.text
+        summary = json.loads((out_dir / "summary.json").read_text())["utterances"]
+        for utt_id, field in (("no_audio", "audio"), ("null_audio", "audio"),
+                              ("no_textgrid", "textgrid")):
+            assert summary[utt_id] == {
+                "error": f"InputError: {manifest}: utterance {utt_id!r}: {field}: "
+                         "must be a string, got None", "status": "error"}
+        assert summary["clip"]["status"] == summary["clip2"]["status"] == "ok"
 
     def test_internal_error_exits_1(self, speech_manifest, monkeypatch, caplog):
         from singprep import pseudo
@@ -934,6 +962,20 @@ class TestEval:
             "bad": f"InputError: {hyp}: utterance 'bad': text: must be a string, got 5",
             "nul_audio": "InputError: 'a\\x00b.wav': not a file name: embedded null byte",
             "nul_embedding": "InputError: 'e\\x00.txt': not a file name: embedded null byte"}
+
+    def test_absent_audio_fails_only_its_pair(self, eval_pair_files):
+        ref, hyp, tmp_path = eval_pair_files
+        for path in (ref, hyp):
+            doc = json.loads(Path(path).read_text())
+            good = doc["utterances"][0]
+            doc["utterances"].append({"utt_id": "bad"} if path == hyp else dict(good, utt_id="bad"))
+            write_json(Path(path), doc)
+        out = tmp_path / "report.json"
+        assert main(["eval", "--ref", ref, "--hyp", hyp, "--output", str(out)]) == 2
+        report = json.loads(out.read_text())
+        assert list(report["per_utterance"]) == ["clip"]
+        assert report["failures"] == {
+            "bad": f"InputError: {hyp}: utterance 'bad': audio: must be a string, got None"}
 
     def test_unscorable_pair_is_a_failure(self, eval_pair_files):
         # Embeddings of different shapes are read fine but cannot be scored.
@@ -1437,6 +1479,17 @@ def test_input_error_names_its_file(tmp_path, files, argv, name):
                   "tgt.json": _TARGETS},
                  _PLAN, "src.json: entry 0: voice part must be a string, got None",
                  id="plan-svc-source-voice-part-absent"),
+    pytest.param({"m.json": '[{"utt_id": "../x", "audio": "a.wav", "textgrid": "t"}, '
+                            '{"utt_id": "b"}]'}, ["pseudo", "--manifest", "m.json", "--output-dir", "out"],
+                 "m.json: utt_id '../x' is not a plain file name",
+                 id="pseudo-bad-utt-id-before-an-absent-audio"),
+    pytest.param({"m.json": '[{"utt_id": "a", "audio": "a.wav", "textgrid": "t"}, {"audio": "b"}]'},
+                 ["pseudo", "--manifest", "m.json", "--output-dir", "out"],
+                 "m.json: entry 1: utt_id must be a nonempty string, got None",
+                 id="pseudo-absent-utt-id"),
+    pytest.param({"ref.json": '[{"utt_id": "a", "audio": "a.wav"}, {"utt_id": "a"}]',
+                  "hyp.json": '[{"audio": "a.wav"}]'}, _EVAL,
+                 "ref.json: duplicate utt_id 'a'", id="eval-duplicate-before-an-absent-audio"),
 ])
 def test_first_bad_entry_reported(tmp_path, files, argv, message):
     stderr = _run_main(tmp_path, files, argv)

@@ -6,8 +6,7 @@ import pytest
 from singprep.dsp import pitch
 from singprep.dsp.audio import Waveform
 from singprep.dsp.pitch import (DEFAULT_FMIN, F0Contour, extract_f0, frame_count, hz_from_midi,
-                                midi_from_hz, nearest_midi, next_fast_len, periodic_hann,
-                                transpose_f0)
+                                midi_from_hz, nearest_midi, next_fast_len, periodic_hann)
 from singprep.errors import InputError
 
 from helpers import SR, sine, voiced_segment
@@ -82,31 +81,6 @@ class TestExtractF0:
     def test_fmax_respected(self):
         contour = extract_f0(sine(220.0, 0.5))
         assert contour.values.max() <= 1047.0
-
-
-class TestTransposeF0:
-    def test_octave_up_doubles_voiced_exactly(self):
-        c = F0Contour(np.array([220.0, 0.0, 330.0]))
-        out = transpose_f0(c, 12)
-        assert np.array_equal(out.values, [440.0, 0.0, 660.0])
-
-    def test_unvoiced_frames_stay_zero(self):
-        c = F0Contour(np.zeros(10))
-        assert np.all(transpose_f0(c, 7).values == 0)
-
-    def test_down_then_up_is_identity(self):
-        c = F0Contour(np.array([220.0, 247.0, 0.0]))
-        out = transpose_f0(transpose_f0(c, -5), 5)
-        assert out.values == pytest.approx(c.values)
-
-    def test_clamp_at_max_hz(self, caplog):
-        c = F0Contour(np.array([880.0]))
-        out = transpose_f0(c, 12, max_hz=1000.0)
-        assert out.values[0] == 1000.0
-
-    def test_fractional_semitones(self):
-        c = F0Contour(np.array([440.0]))
-        assert transpose_f0(c, 1.0).values[0] == pytest.approx(440 * 2 ** (1 / 12))
 
 
 class TestContainers:

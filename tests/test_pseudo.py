@@ -172,19 +172,19 @@ class TestMakePseudoSinging:
     def test_phone_sequence_from_alignment(self, clip, bank):
         wave, words, phones = clip
         _, rec = make_pseudo_singing(wave, words, phones, _melody(bank, "scale_up"), 3, "u1")
-        assert [e.phoneme for e in rec.events] == ["S", "AO", "NG", "F", "AE", "N"]
+        assert rec.phs == ["S", "AO", "NG", "F", "AE", "N"]
 
     def test_latin_words_tokenized_english(self, clip, bank):
         wave, words, phones = clip
         _, rec = make_pseudo_singing(wave, words, phones, _melody(bank, "scale_up"), 3, "u1")
-        assert {e.language_token for e in rec.events} == {0}
+        assert set(rec.lang) == {0}
 
     def test_han_word_tokenized_mandarin(self, clip, bank):
         wave, _, phones = clip
         words = AlignmentTier("words", (
             Interval(0.0, 0.95, "我"), Interval(0.95, 1.8, "fan")))
         _, rec = make_pseudo_singing(wave, words, phones, _melody(bank, "scale_up"), 3, "u1")
-        langs = {e.phoneme: e.language_token for e in rec.events}
+        langs = dict(zip(rec.phs, rec.lang))
         assert langs["AO"] == 1 and langs["AE"] == 0
 
     def test_phone_outside_words_rejected(self, clip, bank):
@@ -209,19 +209,19 @@ class TestMakePseudoSinging:
         wave, words, phones = clip
         _, rec = make_pseudo_singing(wave, words, phones,
                                      _melody(bank, "cadence"), 3, "u1")
-        assert {e.style_token for e in rec.events} == {PSEUDO_SINGING}
+        assert set(rec.style) == {PSEUDO_SINGING}
 
     def test_durations_preserved_from_alignment(self, clip, bank):
         wave, words, phones = clip
         _, rec = make_pseudo_singing(wave, words, phones,
                                      _melody(bank, "held_low"), 3, "u1")
-        assert sum(e.ph_dur for e in rec.events) == pytest.approx(1.4, abs=1e-9)
+        assert sum(rec.ph_dur) == pytest.approx(1.4, abs=1e-9)
 
     def test_notes_follow_melody_steps_at_midpoints(self, clip, bank):
         wave, words, phones = clip
         _, rec = make_pseudo_singing(wave, words, phones,
                                      _melody(bank, "scale_up"), 3, "u1")
-        notes = {e.phoneme: e.note_midi for e in rec.events}
+        notes = dict(zip(rec.phs, rec.notes))
         # scale_up: 8 equal steps over 1.8 s (0.225 s each); phone midpoints
         # AO 0.50s, NG 0.775s, F 1.025s, AE 1.30s land strictly inside
         # steps 2, 3, 4, 5
@@ -238,7 +238,7 @@ class TestMakePseudoSinging:
         wave, words, phones = clip
         _, rec = make_pseudo_singing(wave, words, phones,
                                      _melody(bank, "scale_up"), 3, "u1")
-        assert all(e.note_dur == pytest.approx(0.225) for e in rec.events)
+        assert all(d == pytest.approx(0.225) for d in rec.notes_dur)
 
     def test_deterministic_for_seed(self, clip, bank):
         wave, words, phones = clip
@@ -293,9 +293,9 @@ class TestMakePseudoSinging:
         _, rec = make_pseudo_singing(wave, words, phones, _melody(bank, "hill"),
                                      3, "utt9", audio_path="x/utt9.wav",
                                      singer_id="spk1")
-        assert rec.utterance_id == "utt9"
-        assert rec.audio_path == "x/utt9.wav"
-        assert rec.singer_id == "spk1"
+        assert rec.utt_id == "utt9"
+        assert rec.audio == "x/utt9.wav"
+        assert rec.singer == "spk1"
         assert rec.voice_part is None
 
 

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from singprep.annotation import AnnotationRecord, validate_document
-from singprep.errors import InputError, ParseError
+from singprep.errors import InputError, ParseError, ValidationError
 from singprep.jsonio import dumps_document, write_output
 from singprep.lexicon import default_lexicon
-from singprep.score import (PhonemeEvent, RatioTable, adapt_average,
-                            adapt_proportional, extract_ratios, transform_score)
+from singprep.score import (RatioTable, adapt_average, adapt_proportional, extract_ratios,
+                            transform_score)
 from singprep.textgrid import AlignmentTier, Interval
 
 
@@ -18,14 +18,23 @@ def round4(x: float) -> float:
     return math.floor(abs(x) * 1e4 + 0.5) / 1e4 * (1 if x >= 0 else -1)
 
 
+def record(*events):
+    """A record of (phoneme, ph_dur, note, note_dur[, is_slur]) events, Mandarin and style 1."""
+    phs, ph_dur, notes, notes_dur, is_slur = map(list, zip(*((*e, False)[:5] for e in events)))
+    n = len(events)
+    return AnnotationRecord("u", "u.wav", "", None, phs, [int(s) for s in is_slur], ph_dur,
+                            notes, notes_dur, [1] * n, [1] * n)
+
+
+def events(rec):
+    """The (phoneme, ph_dur, note, note_dur, is_slur) rows of a record."""
+    return list(zip(rec.phs, rec.ph_dur, rec.notes, rec.notes_dur, rec.is_slur))
+
+
 def cun_events():
     """The affricate+final syllable with a slurred second note."""
-    return [
-        PhonemeEvent("c", 0.18, 60, 0.425, language_token=1, style_token=1),
-        PhonemeEvent("uen", 0.245, 60, 0.425, language_token=1, style_token=1),
-        PhonemeEvent("uen", 0.295, 62, 0.295, is_slur=True,
-                     language_token=1, style_token=1),
-    ]
+    return record(("c", 0.18, 60, 0.425), ("uen", 0.245, 60, 0.425),
+                  ("uen", 0.295, 62, 0.295, True))
 
 
 def cun_ratios():
@@ -110,7 +119,7 @@ class TestTransformScore:
 class TestAdaptAverage:
     def test_equal_split_with_slur(self, lexicon):
         out = adapt_average(cun_events(), lexicon)
-        got = [(e.phoneme, round4(e.ph_dur), e.is_slur) for e in out]
+        got = [(ph, round4(dur), slur) for ph, dur, _, _, slur in events(out)]
         assert got == [
             ("T", 0.09, False), ("S", 0.09, False),
             ("UW", 0.0817, False), ("AH", 0.0817, False), ("N", 0.0817, False),
@@ -119,35 +128,32 @@ class TestAdaptAverage:
 
     def test_notes_duplicated_per_phone(self, lexicon):
         out = adapt_average(cun_events(), lexicon)
-        assert [e.note_midi for e in out] == [60, 60, 60, 60, 60, 62, 62, 62]
-        assert [e.note_dur for e in out][:2] == [0.425, 0.425]
+        assert out.notes == [60, 60, 60, 60, 60, 62, 62, 62]
+        assert out.notes_dur[:2] == [0.425, 0.425]
 
     def test_single_phone_unit_identity(self, lexicon):
-        out = adapt_average(
-            [PhonemeEvent("a", 0.3, 59, 0.3, language_token=1)], lexicon)
-        assert [(e.phoneme, e.ph_dur) for e in out] == [("AA", 0.3)]
+        out = adapt_average(record(("a", 0.3, 59, 0.3)), lexicon)
+        assert list(zip(out.phs, out.ph_dur)) == [("AA", 0.3)]
 
     def test_two_phone_final_split(self, lexicon):
-        out = adapt_average(
-            [PhonemeEvent("ang", 0.35, 59, 0.35, language_token=1)], lexicon)
-        assert [(e.phoneme, e.ph_dur) for e in out] == [("AE", 0.175), ("NG", 0.175)]
+        out = adapt_average(record(("ang", 0.35, 59, 0.35)), lexicon)
+        assert list(zip(out.phs, out.ph_dur)) == [("AE", 0.175), ("NG", 0.175)]
 
     def test_duration_conserved(self, lexicon):
-        events = cun_events()
-        out = adapt_average(events, lexicon)
-        assert sum(e.ph_dur for e in out) == pytest.approx(
-            sum(e.ph_dur for e in events), rel=1e-12)
+        rec = cun_events()
+        out = adapt_average(rec, lexicon)
+        assert sum(out.ph_dur) == pytest.approx(sum(rec.ph_dur), rel=1e-12)
 
     def test_rest_untouched(self, lexicon):
-        rest = PhonemeEvent("sp", 0.2, 0, 0.2, language_token=1)
-        out = adapt_average([rest], lexicon)
-        assert out == [rest]
+        rest = record(("sp", 0.2, 0, 0.2))
+        out = adapt_average(rest, lexicon)
+        assert out == rest
 
 
 class TestAdaptProportional:
     def test_table_with_boundary_cut(self, lexicon):
         out = adapt_proportional(cun_events(), lexicon, cun_ratios())
-        got = [(e.phoneme, round4(e.ph_dur), e.note_midi, e.is_slur) for e in out]
+        got = [(ph, round4(dur), note, slur) for ph, dur, note, _, slur in events(out)]
         assert got == [
             ("T", 0.036, 60, False),
             ("S", 0.144, 60, False),
@@ -158,61 +164,66 @@ class TestAdaptProportional:
         ]
 
     def test_note_boundaries_conserved(self, lexicon):
-        events = cun_events()
-        out = adapt_proportional(events, lexicon, cun_ratios())
-        def boundaries(evs):
+        rec = cun_events()
+        out = adapt_proportional(rec, lexicon, cun_ratios())
+        def boundaries(rec):
             pts, t = [], 0.0
             prev = None
-            for e in evs:
-                if prev is not None and (e.note_midi != prev or e.is_slur):
+            for _, dur, note, _, slur in events(rec):
+                if prev is not None and (note != prev or slur):
                     pts.append(round(t, 9))
-                prev = e.note_midi
-                t += e.ph_dur
+                prev = note
+                t += dur
             return pts
-        assert boundaries(out) == boundaries(events)
+        assert boundaries(out) == boundaries(rec)
 
     def test_equal_ratio_no_slur_matches_average(self, lexicon):
-        events = [
-            PhonemeEvent("c", 0.18, 60, 0.18, language_token=1),
-            PhonemeEvent("ang", 0.4, 61, 0.4, language_token=1),
-        ]
+        rec = record(("c", 0.18, 60, 0.18), ("ang", 0.4, 61, 0.4))
         rt = RatioTable()
         rt.set("c", ("T", "S"), (0.5, 0.5))
         rt.set("ang", ("AE", "NG"), (0.5, 0.5))
-        assert adapt_proportional(events, lexicon, rt) == adapt_average(events, lexicon)
+        assert adapt_proportional(rec, lexicon, rt) == adapt_average(rec, lexicon)
 
     def test_boundary_on_phone_edge_no_split(self, lexicon):
         # UW spans exactly the first note: no phoneme straddles the cut
-        events = [
-            PhonemeEvent("uen", 0.1, 60, 0.1, language_token=1),
-            PhonemeEvent("uen", 0.2, 62, 0.2, is_slur=True, language_token=1),
-        ]
+        rec = record(("uen", 0.1, 60, 0.1), ("uen", 0.2, 62, 0.2, True))
         rt = RatioTable()
         rt.set("uen", ("UW", "AH", "N"), (1 / 3, 1 / 3, 1 / 3))
-        out = adapt_proportional(events, lexicon, rt)
+        out = adapt_proportional(rec, lexicon, rt)
         assert len(out) == 3
-        assert [e.phoneme for e in out] == ["UW", "AH", "N"]
+        assert out.phs == ["UW", "AH", "N"]
 
     def test_missing_ratio_falls_back_to_equal(self, lexicon, caplog):
-        events = [PhonemeEvent("ang", 0.4, 61, 0.4, language_token=1)]
+        rec = record(("ang", 0.4, 61, 0.4))
         with caplog.at_level(logging.WARNING):
-            out = adapt_proportional(events, lexicon, RatioTable())
-        assert [round4(e.ph_dur) for e in out] == [0.2, 0.2]
+            out = adapt_proportional(rec, lexicon, RatioTable())
+        assert [round4(dur) for dur in out.ph_dur] == [0.2, 0.2]
 
     def test_rest_untouched(self, lexicon):
-        rest = PhonemeEvent("sp", 0.2, 0, 0.2, language_token=1)
-        assert adapt_proportional([rest], lexicon, cun_ratios()) == [rest]
+        rest = record(("sp", 0.2, 0, 0.2))
+        assert adapt_proportional(rest, lexicon, cun_ratios()) == rest
 
     def test_final_within_the_tolerance_is_kept(self, lexicon):
         # a final group of 2e-13 s has no breakpoint above the tolerance: one piece
-        events = [PhonemeEvent("c", 0.1, 60, 0.1, language_token=1),
-                  PhonemeEvent("un", 1e-13, 62, 1e-13, language_token=1),
-                  PhonemeEvent("un", 1e-13, 64, 1e-13, is_slur=True, language_token=1)]
-        out = adapt_proportional(events, lexicon, cun_ratios())
-        assert [e.phoneme for e in out[:2]] == ["T", "S"] and len(out) == 3
-        assert out[2].phoneme in lexicon.expand_unit("un")
-        assert out[2].ph_dur == 1e-13 + 1e-13
-        assert sum(e.ph_dur for e in out) == pytest.approx(0.1 + 2e-13, rel=1e-15)
+        rec = record(("c", 0.1, 60, 0.1), ("un", 1e-13, 62, 1e-13),
+                     ("un", 1e-13, 64, 1e-13, True))
+        out = adapt_proportional(rec, lexicon, cun_ratios())
+        assert out.phs[:2] == ["T", "S"] and len(out) == 3
+        assert out.phs[2] in lexicon.expand_unit("un")
+        assert out.ph_dur[2] == 1e-13 + 1e-13
+        assert sum(out.ph_dur) == pytest.approx(0.1 + 2e-13, rel=1e-15)
+
+
+@pytest.mark.parametrize("adapt", [
+    lambda rec, lexicon: adapt_average(rec, lexicon),
+    lambda rec, lexicon: adapt_proportional(rec, lexicon, RatioTable()),
+], ids=["average", "proportional"])
+def test_adapted_record_is_validated(adapt, lexicon):
+    # the least float split in two rounds to 0.0, which no record may hold
+    with pytest.raises(ValidationError) as err:
+        adapt(record(("c", 5e-324, 60, 0.3), ("ang", 0.3, 60, 0.3)), lexicon)
+    assert err.value.failures == [f"ph_dur[{i}]: must be a positive number (got 0.0)"
+                                  for i in (0, 1)]
 
 
 class TestExtractRatios:
@@ -266,7 +277,10 @@ class TestExtractRatios:
 class TestRatioTable:
     def test_save_load_round_trip(self, tmp_path):
         rt = cun_ratios()
-        write_output(dumps_document(rt.to_dict()), tmp_path / "r.json")
+        write_output(dumps_document({
+            "c": {"phones": ["T", "S"], "weights": [0.2, 0.8]},
+            "uen": {"phones": ["UW", "AH", "N"], "weights": [1 / 3, 1 / 3, 1 / 3]},
+        }), tmp_path / "r.json")
         back = RatioTable.load(tmp_path / "r.json")
         assert back.get("c", ("T", "S")) == rt.get("c", ("T", "S"))
         assert back.get("uen", ("UW", "AH", "N")) == rt.get("uen", ("UW", "AH", "N"))
@@ -302,47 +316,46 @@ def pinyin_annotation(draw):
         dur = draw(st.floats(min_value=0.02, max_value=1.0,
                              allow_nan=False, allow_infinity=False))
         note += draw(st.integers(min_value=-3, max_value=3))
-        events.append(PhonemeEvent(unit, dur, note, dur, language_token=1))
+        events.append((unit, dur, note, dur))
         if unit not in ("c", "zh") and draw(st.booleans()):
             sdur = draw(st.floats(min_value=0.02, max_value=0.6,
                                   allow_nan=False, allow_infinity=False))
-            events.append(PhonemeEvent(unit, sdur, note + 2, sdur,
-                                       is_slur=True, language_token=1))
-    return events
+            events.append((unit, sdur, note + 2, sdur, True))
+    return record(*events)
 
 
 @settings(max_examples=150, deadline=None)
 @given(pinyin_annotation())
-def test_duration_conserved_both_strategies(events):
+def test_duration_conserved_both_strategies(rec):
     lexicon = default_lexicon()
-    total = sum(e.ph_dur for e in events)
-    for out in (adapt_average(events, lexicon),
-                adapt_proportional(events, lexicon, cun_ratios())):
-        assert sum(e.ph_dur for e in out) == pytest.approx(total, rel=1e-9)
-        validate_document(AnnotationRecord("u", "u.wav", tuple(out)).to_document())
+    total = sum(rec.ph_dur)
+    for out in (adapt_average(rec, lexicon),
+                adapt_proportional(rec, lexicon, cun_ratios())):
+        assert sum(out.ph_dur) == pytest.approx(total, rel=1e-9)
+        validate_document(out.to_document())
 
 
 @settings(max_examples=150, deadline=None)
 @given(pinyin_annotation())
-def test_note_boundary_times_conserved(events):
+def test_note_boundary_times_conserved(rec):
     lexicon = default_lexicon()
 
-    def cuts(evs):
+    def cuts(rec):
         pts, t = set(), 0.0
-        for e in evs:
-            t += e.ph_dur
+        for dur in rec.ph_dur:
+            t += dur
             pts.add(round(t, 9))
         return pts
 
-    def note_change_points(evs):
+    def note_change_points(rec):
         pts, t = set(), 0.0
         prev_note = None
-        for e in evs:
-            if prev_note is not None and (e.note_midi != prev_note or e.is_slur):
+        for _, dur, note, _, slur in events(rec):
+            if prev_note is not None and (note != prev_note or slur):
                 pts.add(round(t, 9))
-            prev_note = e.note_midi
-            t += e.ph_dur
+            prev_note = note
+            t += dur
         return pts
 
-    out = adapt_proportional(events, lexicon, cun_ratios())
-    assert note_change_points(events) <= cuts(out)
+    out = adapt_proportional(rec, lexicon, cun_ratios())
+    assert note_change_points(rec) <= cuts(out)

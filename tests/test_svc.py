@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from singprep.annotation import VOICE_PARTS
+from singprep.annotation import VOICE_PARTS, normalize_voice_part
 from singprep.errors import ValidationError
 from singprep.jsonio import dumps_document
-from singprep.svc import build_job_manifest, plan_conversion
+from singprep.svc import PITCH_SHIFT_TABLE, build_job_manifest
 
 # From: Bass, Baritone, Tenor, Alto, Soprano; To: the same order.
 EXPECTED_MATRIX = {
@@ -15,6 +15,12 @@ EXPECTED_MATRIX = {
     "Alto": (-12, -8, -4, 0, 4),
     "Soprano": (-12, -8, -8, -4, 0),
 }
+
+
+def plan_conversion(source_part, target_part):
+    """Semitones for a pair of parts as plan-svc finds them: each part
+    normalized, then looked up in the table."""
+    return PITCH_SHIFT_TABLE[normalize_voice_part(source_part), normalize_voice_part(target_part)]
 
 
 class TestPlanConversion:
